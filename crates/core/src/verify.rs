@@ -203,10 +203,8 @@ impl ProblemTemplate {
     }
 }
 
-/// Per-solve options for [`VerificationProblem::solve_with_template`] — the
-/// single template solve entry point that replaced the
-/// `solve_with_template_{seeded, cancellable, traced, escalated,
-/// escalated_traced}` fan of variants.
+/// Per-solve options for [`VerificationProblem::solve_with_template`], the
+/// single template solve entry point.
 ///
 /// Every lever is optional and independently composable (the delta
 /// re-verification path needs seed + cancellation + tracing simultaneously,
@@ -519,9 +517,9 @@ impl VerificationProblem {
     }
 
     /// Builds a reusable [`ProblemTemplate`] whose MILP skeleton is encoded
-    /// once from `root`; [`VerificationProblem::run_solver_with_template`]
-    /// and [`VerificationProblem::verify_with_template`] then instantiate it
-    /// per sub-region with bound-only edits. Regions not covered by `root`
+    /// once from `root`; [`VerificationProblem::solve_with_template`] and
+    /// [`VerificationProblem::verify_with_template`] then instantiate it per
+    /// sub-region with bound-only edits. Regions not covered by `root`
     /// transparently fall back to one-shot encoding.
     ///
     /// # Errors
@@ -689,89 +687,9 @@ impl VerificationProblem {
         }
     }
 
-    /// [`VerificationProblem::solve_with_template`] with the seed lever
-    /// only.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().seed(..)`"
-    )]
-    pub fn solve_with_template_seeded(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        seed: &mut Option<BasisSnapshot>,
-        backend: &dyn SolverBackend,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            seed,
-            backend,
-            None,
-            &TraceHandle::disabled(),
-        )
-    }
-
-    /// [`VerificationProblem::solve_with_template`] with the seed and
-    /// cancellation levers.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().seed(..).cancel(..)`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_template_cancellable(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        seed: &mut Option<BasisSnapshot>,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            seed,
-            backend,
-            cancel,
-            &TraceHandle::disabled(),
-        )
-    }
-
-    /// [`VerificationProblem::solve_with_template`] with the seed,
-    /// cancellation and tracing levers.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().seed(..).cancel(..).tracer(..)`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_template_traced(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        seed: &mut Option<BasisSnapshot>,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_impl(
-            template, region, bounds, scratch, seed, backend, cancel, trace,
-        )
-    }
-
     /// The template solve body: instantiate (or fall back to one-shot
     /// encoding), solve seeded/cancellable/traced, interpret. Reached
-    /// exclusively through [`VerificationProblem::solve_with_template`] and
-    /// the deprecated fixed-shape shims.
+    /// exclusively through [`VerificationProblem::solve_with_template`].
     #[allow(clippy::too_many_arguments)]
     fn solve_template_impl(
         &self,
@@ -811,65 +729,6 @@ impl VerificationProblem {
         let solution = backend.solve_traced(&encoded.milp, seed, cancel, trace);
         let verdict = self.interpret_solution(encoded, &solution, &template.tail, backend);
         Ok((verdict, solution))
-    }
-
-    /// [`VerificationProblem::solve_with_template`] with the escalation
-    /// lever only.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().escalation(..)`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_template_escalated(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        budget_scale: usize,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_escalated_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            budget_scale,
-            backend,
-            cancel,
-            &TraceHandle::disabled(),
-        )
-    }
-
-    /// [`VerificationProblem::solve_with_template`] with the escalation,
-    /// cancellation and tracing levers.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `solve_with_template` with `SolveOptions::new().escalation(..).tracer(..)`"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn solve_with_template_escalated_traced(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        budget_scale: usize,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_escalated_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            budget_scale,
-            backend,
-            cancel,
-            trace,
-        )
     }
 
     /// The escalated retry for `IterationLimit`/`NodeLimit` outcomes: solves

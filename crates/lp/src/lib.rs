@@ -9,7 +9,10 @@
 //!
 //! * [`LinearProgram`] — a model builder for LPs with per-variable bounds
 //!   and `≤ / ≥ / =` row constraints, solved by a dense two-phase primal
-//!   simplex ([`LinearProgram::solve`]). A solved program can hand out a
+//!   simplex ([`LinearProgram::solve`]) over one flat row-major tableau. The
+//!   tableau carries no identity block: `B⁻¹` is read from the slack
+//!   columns (and one identity column per `=` row), which hold the same
+//!   values up to an exact sign. A solved program can hand out a
 //!   [`BasisSnapshot`] ([`LinearProgram::solve_with_snapshot`]); after
 //!   **bound-only** edits ([`LinearProgram::set_bounds`],
 //!   [`LinearProgram::set_constraint_rhs`]) the snapshot re-solves warm via

@@ -136,10 +136,11 @@ pub(crate) fn solve_node_lp(
     trace: &TraceHandle,
 ) -> LpSolution {
     /// Warm re-solves per snapshot before a forced cold refactorisation.
-    /// The identity block accumulates floating-point drift with every pivot;
-    /// the Farkas certificate already guards against *wrong* verdicts, but a
-    /// periodic fresh factorisation keeps the certificate's bail-out rate —
-    /// and hence the warm hit rate — high on deep search trees.
+    /// The implicit `B⁻¹` columns accumulate floating-point drift with
+    /// every pivot; the Farkas certificate already guards against *wrong*
+    /// verdicts, but a periodic fresh factorisation keeps the certificate's
+    /// bail-out rate — and hence the warm hit rate — high on deep search
+    /// trees.
     const REFACTOR_INTERVAL: usize = 256;
     if warm
         .as_ref()

@@ -4,6 +4,33 @@
 //! verification instances produced by `dpv-core` stay small (hundreds of
 //! variables), and Bland's rule guarantees termination without cycling.
 //!
+//! # Tableau layout
+//!
+//! The tableau is one row-major `Vec<f64>`, one row per standard-form
+//! constraint, with columns in this order: the structural variables, one
+//! slack/surplus column per `≤`/`≥` row, one identity column per `=` row,
+//! and the right-hand side. `=` rows are the only rows without a slack, so
+//! their identity column doubles as their phase-1 artificial variable; every
+//! other row starts with its slack basic when the slack's coefficient is
+//! `+1`, and otherwise (a `≥` row, or a `≤` row negated for a negative rhs)
+//! with a **logical** artificial that has no column of its own.
+//!
+//! Basis entries are logical indices: columns below `artificial_base` are
+//! their own index, and the artificial of row `r` is `artificial_base + r`
+//! whether or not it has a column. Artificials never re-enter the basis, so
+//! no pivot ever reads an artificial column.
+//!
+//! # Implicit `B⁻¹`
+//!
+//! Row operations act on every column alike, so each tableau column is
+//! `B⁻¹` times its build-time column. Column `k` of `B⁻¹` is therefore
+//! readable from any column that started as `±e_k`: the identity column of
+//! an `=` row, or the slack column of any other row scaled by its
+//! build-time coefficient (`±1`, so the scaling is exact). Negating an f64
+//! is exact and rounding is symmetric under sign, so the values read this
+//! way are bit-for-bit the values a full identity block would hold, and the
+//! narrowing changes no pivot choice, no count and no result.
+//!
 //! # Warm starts
 //!
 //! Branch-and-bound and the refinement loop re-solve the *same* constraint
@@ -12,9 +39,8 @@
 //! ([`LinearProgram::solve_from_basis`]) instead reuses the final tableau of
 //! a previous solve (a [`BasisSnapshot`]):
 //!
-//! * every tableau carries a full identity block (one column per row, doubling
-//!   as the phase-1 artificial variables), so the accumulated row operations
-//!   `G = B⁻¹·S` are always available explicitly;
+//! * the accumulated row operations `G = B⁻¹·S` are always available
+//!   through the implicit inverse columns above;
 //! * a bound-only change alters *only* the standard-form right-hand side `b`
 //!   (variable shifts move constraint offsets; bound rows get a new width),
 //!   never the coefficient matrix or the standard-form cost vector — so the
@@ -254,6 +280,37 @@ fn fingerprint(lp: &LinearProgram, cost: &[f64]) -> StructureFingerprint {
     }
 }
 
+/// Where each column of `B⁻¹` lives in a narrow tableau, and the build-time
+/// row signs that relate it to the original standard-form rows.
+#[derive(Debug, Clone)]
+struct InverseColumns {
+    /// Per standard-form row `k`: the tableau column that started as
+    /// `±e_k` and the `±1` it started with, so that column `k` of `B⁻¹` is
+    /// `sign · T[·][col]` — the row's slack column, or for an `=` row its
+    /// identity column (sign `+1`).
+    cols: Vec<(usize, f64)>,
+    /// Sign applied to each row when the tableau was built (rows with a
+    /// negative rhs are negated so the initial basis is non-negative).
+    signs: Vec<f64>,
+}
+
+impl InverseColumns {
+    /// Entry `(r, k)` of `B⁻¹`, read from tableau row `r`.
+    fn entry(&self, tableau_row: &[f64], k: usize) -> f64 {
+        let (col, sign) = self.cols[k];
+        sign * tableau_row[col]
+    }
+
+    /// The multipliers `w` that express tableau row `r` as a combination of
+    /// the original (un-negated) standard-form rows: `w_k = B⁻¹[r][k] ·
+    /// sign_k`.
+    fn row_weights(&self, tableau_row: &[f64]) -> Vec<f64> {
+        (0..self.cols.len())
+            .map(|k| self.entry(tableau_row, k) * self.signs[k])
+            .collect()
+    }
+}
+
 /// The final tableau of a solved [`LinearProgram`], reusable as a warm start
 /// for re-solves after bound-only changes (see
 /// [`LinearProgram::solve_from_basis`]).
@@ -263,21 +320,22 @@ fn fingerprint(lp: &LinearProgram, cost: &[f64]) -> StructureFingerprint {
 /// dual simplex can safely continue from.
 #[derive(Debug, Clone)]
 pub struct BasisSnapshot {
-    /// `m x (n_total + 1)` tableau rows; the identity block at columns
-    /// `artificial_base..artificial_base + m` holds the accumulated row
-    /// operations, the last column the rhs.
-    rows: Vec<Vec<f64>>,
-    /// Basic variable of each row.
+    /// Row-major `m × width` tableau values, laid out as described in the
+    /// module docs: structural, slack and `=`-row identity columns, then the
+    /// rhs. The accumulated row operations are read through `inverse`.
+    data: Vec<f64>,
+    /// Row stride of `data`: `artificial_base + n_eq + 1`.
+    width: usize,
+    /// Logical basic variable of each row (artificial of row `r` is
+    /// `artificial_base + r`).
     basis: Vec<usize>,
-    /// Sign applied to each row when the tableau was first built (rows with
-    /// negative rhs are negated so the initial basis is non-negative).
-    signs: Vec<f64>,
+    /// Where the columns of `B⁻¹` live, plus the build-time row signs.
+    inverse: InverseColumns,
     /// Number of structural standard-form variables.
     n: usize,
-    /// First column of the identity/artificial block.
+    /// Number of structural plus slack columns; logical indices at or above
+    /// it are artificials.
     artificial_base: usize,
-    /// Total number of columns excluding the rhs.
-    n_total: usize,
     /// Structural fingerprint the target program must match.
     structure: StructureFingerprint,
     /// Number of warm re-solves taken from this snapshot (statistics only).
@@ -320,15 +378,21 @@ enum DualOutcome {
 
 /// Dense simplex tableau with an explicit basis.
 struct Tableau {
-    /// `m x (n_total + 1)` rows; the last column is the right-hand side.
-    rows: Vec<Vec<f64>>,
-    /// Basic variable of each row.
+    /// Row-major `m × width` values; the last column of each row is the
+    /// right-hand side.
+    data: Vec<f64>,
+    /// Row stride of `data`: `artificial_base + n_eq + 1`.
+    width: usize,
+    /// Logical basic variable of each row: columns below `artificial_base`
+    /// are their own index, the artificial of row `r` is
+    /// `artificial_base + r`.
     basis: Vec<usize>,
-    /// Total number of columns excluding the rhs.
-    n_total: usize,
-    /// First column of the identity/artificial block; columns at or beyond
-    /// this index may never (re-)enter the basis outside phase 1.
+    /// Number of structural plus slack columns. Only columns below it may
+    /// enter the basis, in either phase, so artificials only ever leave.
     artificial_base: usize,
+    /// The most recent pivot row after scaling — one buffer reused by every
+    /// pivot's elimination and by the caller's reduced-cost update.
+    pivot_row: Vec<f64>,
     /// Pivots performed so far (reported as `LpSolution::iterations`).
     iterations: usize,
     /// Remaining pivot budget.
@@ -344,8 +408,20 @@ struct Tableau {
 const CANCEL_POLL_MASK: usize = 63;
 
 impl Tableau {
+    fn rows(&self) -> usize {
+        self.basis.len()
+    }
+
+    fn row(&self, row: usize) -> &[f64] {
+        &self.data[row * self.width..(row + 1) * self.width]
+    }
+
+    fn at(&self, row: usize, col: usize) -> f64 {
+        self.data[row * self.width + col]
+    }
+
     fn rhs(&self, row: usize) -> f64 {
-        self.rows[row][self.n_total]
+        self.at(row, self.width - 1)
     }
 
     /// True when the caller's token tripped; only polled at the
@@ -356,19 +432,22 @@ impl Tableau {
             && self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Performs one pivot on (`row`, `col`).
+    /// Performs one pivot on (`row`, `col`), leaving the scaled pivot row in
+    /// `self.pivot_row`.
     fn pivot(&mut self, row: usize, col: usize) {
-        let pivot_value = self.rows[row][col];
+        let width = self.width;
+        let pivot = &mut self.data[row * width..(row + 1) * width];
+        let pivot_value = pivot[col];
         debug_assert!(
             pivot_value.abs() > SOLVER_EPS,
             "pivot on a (near-)zero element"
         );
         let inv = 1.0 / pivot_value;
-        for value in &mut self.rows[row] {
+        for value in pivot.iter_mut() {
             *value *= inv;
         }
-        let pivot_row = self.rows[row].clone();
-        for (r, other) in self.rows.iter_mut().enumerate() {
+        self.pivot_row.copy_from_slice(pivot);
+        for (r, other) in self.data.chunks_exact_mut(width).enumerate() {
             if r == row {
                 continue;
             }
@@ -376,7 +455,7 @@ impl Tableau {
             if factor == 0.0 {
                 continue;
             }
-            for (o, p) in other.iter_mut().zip(pivot_row.iter()) {
+            for (o, p) in other.iter_mut().zip(&self.pivot_row) {
                 *o -= factor * p;
             }
         }
@@ -384,27 +463,46 @@ impl Tableau {
         self.iterations += 1;
     }
 
-    /// Reduced-cost row `c - c_B B⁻¹ A` for the given phase cost, with the
-    /// priced-out constant in the rhs slot.
-    fn reduced_costs(&self, cost: &[f64]) -> Vec<f64> {
-        let mut reduced = vec![0.0; self.n_total + 1];
+    /// Applies the last pivot's elimination step to a reduced-cost row.
+    fn eliminate_reduced(&self, reduced: &mut [f64], col: usize) {
+        let factor = reduced[col];
+        if factor != 0.0 {
+            for (r, p) in reduced.iter_mut().zip(&self.pivot_row) {
+                *r -= factor * p;
+            }
+        }
+    }
+
+    /// Reduced-cost row `c - c_B B⁻¹ A` with the priced-out constant in the
+    /// rhs slot. The phase cost is `cost` on the leading columns (zero on
+    /// the rest below `artificial_base`) and `artificial_cost` on every
+    /// artificial variable.
+    fn reduced_costs(&self, cost: &[f64], artificial_cost: f64) -> Vec<f64> {
+        let mut reduced = vec![0.0; self.width];
         reduced[..cost.len()].copy_from_slice(cost);
         for (row_idx, &basic) in self.basis.iter().enumerate() {
-            let cb = if basic < cost.len() { cost[basic] } else { 0.0 };
+            let cb = if basic < cost.len() {
+                cost[basic]
+            } else if basic >= self.artificial_base {
+                artificial_cost
+            } else {
+                0.0
+            };
             if cb == 0.0 {
                 continue;
             }
-            for (r, value) in reduced.iter_mut().zip(self.rows[row_idx].iter()) {
+            for (r, value) in reduced.iter_mut().zip(self.row(row_idx)) {
                 *r -= cb * value;
             }
         }
         reduced
     }
 
-    /// Runs the primal simplex on the given cost vector (minimisation).
-    /// Entering columns are restricted to indices below `artificial_base`.
-    fn optimize(&mut self, cost: &[f64]) -> PhaseOutcome {
-        let mut reduced = self.reduced_costs(cost);
+    /// Runs the primal simplex on the given phase cost (minimisation; see
+    /// [`Tableau::reduced_costs`]). Entering columns are restricted to
+    /// indices below `artificial_base`.
+    fn optimize(&mut self, cost: &[f64], artificial_cost: f64) -> PhaseOutcome {
+        let mut reduced = self.reduced_costs(cost, artificial_cost);
         loop {
             if self.cancelled() {
                 return PhaseOutcome::Cancelled;
@@ -414,12 +512,12 @@ impl Tableau {
             let entering = (0..self.artificial_base).find(|&j| reduced[j] < -SOLVER_EPS);
             let Some(col) = entering else {
                 // Optimal: the objective equals the negated constant slot.
-                return PhaseOutcome::Optimal(-reduced[self.n_total]);
+                return PhaseOutcome::Optimal(-reduced[self.width - 1]);
             };
             // Ratio test, ties broken by the smallest basic variable index.
             let mut leaving: Option<(usize, f64)> = None;
-            for row in 0..self.rows.len() {
-                let a = self.rows[row][col];
+            for row in 0..self.rows() {
+                let a = self.at(row, col);
                 if a > SOLVER_EPS {
                     let ratio = self.rhs(row) / a;
                     let better = match leaving {
@@ -443,14 +541,7 @@ impl Tableau {
             }
             self.budget -= 1;
             self.pivot(row, col);
-            // Update the reduced cost row by the same elimination step.
-            let factor = reduced[col];
-            if factor != 0.0 {
-                let pivot_row = self.rows[row].clone();
-                for (r, p) in reduced.iter_mut().zip(pivot_row.iter()) {
-                    *r -= factor * p;
-                }
-            }
+            self.eliminate_reduced(&mut reduced, col);
         }
     }
 
@@ -470,8 +561,8 @@ impl Tableau {
     /// guarantee then applies. The overall budget still backstops
     /// everything — running out means the caller re-solves cold.
     fn dual_optimize(&mut self, cost: &[f64]) -> DualOutcome {
-        let mut reduced = self.reduced_costs(cost);
-        let heuristic_budget = 2 * self.rows.len() + 32;
+        let mut reduced = self.reduced_costs(cost, 0.0);
+        let heuristic_budget = 2 * self.rows() + 32;
         let mut pivots = 0usize;
         loop {
             if self.cancelled() {
@@ -481,7 +572,7 @@ impl Tableau {
             // Leaving row: most-negative rhs (fast phase), or the smallest
             // basic index among violated rows (Bland phase).
             let mut leaving: Option<(usize, f64)> = None;
-            for row in 0..self.rows.len() {
+            for row in 0..self.rows() {
                 let rhs = self.rhs(row);
                 if rhs < -1e-9 {
                     let better = match leaving {
@@ -506,7 +597,8 @@ impl Tableau {
             // columns with a negative pivot element; ties by the largest
             // |pivot| (fast phase) or the smallest index (Bland phase).
             let mut entering: Option<(usize, f64, f64)> = None;
-            for (j, (&a, &red)) in self.rows[row]
+            for (j, (&a, &red)) in self
+                .row(row)
                 .iter()
                 .zip(reduced.iter())
                 .take(self.artificial_base)
@@ -544,43 +636,99 @@ impl Tableau {
             self.budget -= 1;
             pivots += 1;
             self.pivot(row, col);
-            let factor = reduced[col];
-            if factor != 0.0 {
-                let pivot_row = self.rows[row].clone();
-                for (r, p) in reduced.iter_mut().zip(pivot_row.iter()) {
-                    *r -= factor * p;
-                }
-            }
+            self.eliminate_reduced(&mut reduced, col);
         }
     }
+}
+
+/// Builds the initial narrow tableau of a standard form (iteration budget
+/// and cancel token still unset) together with its inverse-column map.
+fn build_tableau(std_form: &StandardForm) -> (Tableau, InverseColumns) {
+    let m = std_form.rows.len();
+    let n = std_form.num_vars;
+    let n_slack = std_form
+        .rows
+        .iter()
+        .filter(|(_, op, _)| *op != ConstraintOp::Eq)
+        .count();
+    let artificial_base = n + n_slack;
+    let width = artificial_base + (m - n_slack) + 1;
+    let mut data = vec![0.0; m * width];
+    let mut basis = vec![usize::MAX; m];
+    let mut cols = Vec::with_capacity(m);
+    let mut signs = Vec::with_capacity(m);
+
+    let mut slack_cursor = n;
+    let mut identity_cursor = artificial_base;
+    for (row_idx, (coeffs, op, rhs)) in std_form.rows.iter().enumerate() {
+        let row = &mut data[row_idx * width..(row_idx + 1) * width];
+        row[..n].copy_from_slice(coeffs);
+        // Make the rhs non-negative, remembering the sign for warm rhs
+        // refreshes.
+        let sign = if *rhs < 0.0 { -1.0 } else { 1.0 };
+        if sign < 0.0 {
+            for value in &mut row[..n] {
+                *value = -*value;
+            }
+        }
+        signs.push(sign);
+        row[width - 1] = sign * rhs;
+        let (col, coeff) = match op {
+            ConstraintOp::Le => (slack_cursor, sign),
+            ConstraintOp::Ge => (slack_cursor, -sign),
+            // An `=` row's identity column (also its phase-1 artificial).
+            ConstraintOp::Eq => (identity_cursor, 1.0),
+        };
+        if *op == ConstraintOp::Eq {
+            identity_cursor += 1;
+        } else {
+            slack_cursor += 1;
+        }
+        row[col] = coeff;
+        cols.push((col, coeff));
+        // Initial basic variable: a slack with +1 coefficient, or the row's
+        // (logical) artificial.
+        basis[row_idx] = if col < artificial_base && coeff > 0.5 {
+            col
+        } else {
+            artificial_base + row_idx
+        };
+    }
+
+    let tableau = Tableau {
+        data,
+        width,
+        basis,
+        artificial_base,
+        pivot_row: vec![0.0; width],
+        iterations: 0,
+        budget: 0,
+        cancel: None,
+    };
+    (tableau, InverseColumns { cols, signs })
 }
 
 /// Verifies a dual-simplex infeasibility declaration against the
 /// **un-drifted** problem data. The triggering tableau row is a linear
 /// combination `w` of the original standard-form equations (recovered from
-/// the identity block and the build-time row signs); for any feasible
-/// `z ≥ 0` it implies `(w·A)·z = w·b` exactly, because `A` and `b` are
-/// recomputed from the live constraints rather than read from the (possibly
-/// drifted) tableau. If every recomputed column coefficient is non-negative
-/// while `w·b` is negative, no non-negative `z` can satisfy the system —
-/// a Farkas certificate that holds no matter how degraded the tableau's
-/// numerics are. A failed check means the declaration was an artefact of
-/// drift and the caller must fall back to a cold solve.
+/// the implicit inverse columns and the build-time row signs); for any
+/// feasible `z ≥ 0` it implies `(w·A)·z = w·b` exactly, because `A` and `b`
+/// are recomputed from the live constraints rather than read from the
+/// (possibly drifted) tableau. If every recomputed column coefficient is
+/// non-negative while `w·b` is negative, no non-negative `z` can satisfy the
+/// system — a Farkas certificate that holds no matter how degraded the
+/// tableau's numerics are. A failed check means the declaration was an
+/// artefact of drift and the caller must fall back to a cold solve.
 fn certify_infeasible_row(
     lp: &LinearProgram,
     mapping: &[VarMap],
     tableau_row: &[f64],
-    signs: &[f64],
+    inverse: &InverseColumns,
     n: usize,
     artificial_base: usize,
     b: &[f64],
 ) -> bool {
-    let m = signs.len();
-    // w = (identity-block entries of the row) · (build-time signs).
-    let mut w = Vec::with_capacity(m);
-    for (k, sign) in signs.iter().enumerate() {
-        w.push(tableau_row[artificial_base + k] * sign);
-    }
+    let w = inverse.row_weights(tableau_row);
 
     // v = w · A, recomputed sparsely from the live constraints.
     let mut v = vec![0.0; artificial_base];
@@ -636,9 +784,9 @@ fn certify_infeasible_row(
 
 /// Maps standard-variable values back to the user variables.
 fn extract_values(lp: &LinearProgram, mapping: &[VarMap], tableau: &Tableau) -> Vec<f64> {
-    let mut z = vec![0.0; tableau.n_total];
+    let mut z = vec![0.0; tableau.artificial_base];
     for (row, &basic) in tableau.basis.iter().enumerate() {
-        if basic < tableau.n_total {
+        if basic < tableau.artificial_base {
             z[basic] = tableau.rhs(row);
         }
     }
@@ -663,8 +811,11 @@ fn user_objective(lp: &LinearProgram, optimum: f64, offset: f64) -> f64 {
     }
 }
 
-fn iteration_budget(lp: &LinearProgram, n_total: usize, rows: usize) -> usize {
-    lp.max_iterations.unwrap_or(50_000 + 200 * (n_total + rows))
+/// Pivot budget of one solve: the caller's limit, or a default that counts
+/// every structural, slack and (logical) artificial variable plus the rows.
+fn iteration_budget(lp: &LinearProgram, artificial_base: usize, rows: usize) -> usize {
+    lp.max_iterations
+        .unwrap_or(50_000 + 200 * (artificial_base + 2 * rows))
 }
 
 /// Solves a [`LinearProgram`] with the two-phase primal simplex method and,
@@ -709,150 +860,54 @@ fn solve_cold(
     }
 
     let std_form = standardize(lp);
-    let m = std_form.rows.len();
-    let n = std_form.num_vars;
-
-    // Count slack/surplus columns; every row additionally gets one identity
-    // column (usable as a phase-1 artificial), so the accumulated row
-    // operations stay explicitly available for warm rhs refreshes.
-    let mut n_slack = 0usize;
-    for (_, op, _) in &std_form.rows {
-        if *op != ConstraintOp::Eq {
-            n_slack += 1;
-        }
-    }
-    let artificial_base = n + n_slack;
-    let n_total = artificial_base + m;
-    let mut rows: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut basis = vec![usize::MAX; m];
-    let mut signs = vec![1.0; m];
-
-    let mut slack_cursor = n;
-
-    for (row_idx, (coeffs, op, rhs)) in std_form.rows.iter().enumerate() {
-        let mut row = vec![0.0; n_total + 1];
-        row[..n].copy_from_slice(coeffs);
-        let mut rhs = *rhs;
-        let mut slack_col = None;
-        match op {
-            ConstraintOp::Le => {
-                row[slack_cursor] = 1.0;
-                slack_col = Some(slack_cursor);
-                slack_cursor += 1;
-            }
-            ConstraintOp::Ge => {
-                row[slack_cursor] = -1.0;
-                slack_col = Some(slack_cursor);
-                slack_cursor += 1;
-            }
-            ConstraintOp::Eq => {}
-        }
-        // Make the rhs non-negative, remembering the sign for warm rhs
-        // refreshes.
-        if rhs < 0.0 {
-            for value in row.iter_mut() {
-                *value = -*value;
-            }
-            rhs = -rhs;
-            signs[row_idx] = -1.0;
-        }
-        row[n_total] = rhs;
-
-        // The identity column of this row (also the phase-1 artificial).
-        let identity_col = artificial_base + row_idx;
-        row[identity_col] = 1.0;
-
-        // Choose the initial basic variable: a slack with +1 coefficient, or
-        // the row's identity column.
-        let basic = match slack_col {
-            Some(col) if row[col] > 0.5 => col,
-            _ => identity_col,
-        };
-        basis[row_idx] = basic;
-        rows.push(row);
-    }
-
-    let mut tableau = Tableau {
-        rows,
-        basis,
-        n_total,
-        artificial_base,
-        iterations: 0,
-        budget: iteration_budget(lp, n_total, m),
-        cancel: cancel.cloned(),
+    let (mut tableau, inverse) = build_tableau(&std_form);
+    let artificial_base = tableau.artificial_base;
+    tableau.budget = iteration_budget(lp, artificial_base, tableau.rows());
+    tableau.cancel = cancel.cloned();
+    let stopped = |status: LpStatus, tableau: &Tableau| {
+        let mut solution = LpSolution::non_optimal(status);
+        solution.iterations = tableau.iterations;
+        (solution, None)
     };
 
     // Phase 1: minimise the sum of basic artificial variables.
     let needs_phase1 = tableau.basis.iter().any(|&b| b >= artificial_base);
     if needs_phase1 {
-        let mut phase1_cost = vec![0.0; n_total];
-        for slot in phase1_cost.iter_mut().skip(artificial_base) {
-            *slot = 1.0;
-        }
-        match tableau.optimize(&phase1_cost) {
+        match tableau.optimize(&[], 1.0) {
             PhaseOutcome::Optimal(optimum) => {
                 if optimum > 1e-6 {
-                    let mut solution = LpSolution::non_optimal(LpStatus::Infeasible);
-                    solution.iterations = tableau.iterations;
-                    return (solution, None);
+                    return stopped(LpStatus::Infeasible, &tableau);
                 }
             }
             // Phase 1 is never unbounded (cost bounded below by zero), so
             // this arm is reachable only through numerical trouble.
-            PhaseOutcome::Unbounded => {
-                let mut solution = LpSolution::non_optimal(LpStatus::Infeasible);
-                solution.iterations = tableau.iterations;
-                return (solution, None);
-            }
-            PhaseOutcome::IterationLimit => {
-                let mut solution = LpSolution::non_optimal(LpStatus::IterationLimit);
-                solution.iterations = tableau.iterations;
-                return (solution, None);
-            }
-            PhaseOutcome::Cancelled => {
-                let mut solution = LpSolution::non_optimal(LpStatus::Cancelled);
-                solution.iterations = tableau.iterations;
-                return (solution, None);
-            }
+            PhaseOutcome::Unbounded => return stopped(LpStatus::Infeasible, &tableau),
+            PhaseOutcome::IterationLimit => return stopped(LpStatus::IterationLimit, &tableau),
+            PhaseOutcome::Cancelled => return stopped(LpStatus::Cancelled, &tableau),
         }
         // Drive any artificial variable that is still basic (at level ~0)
         // out of the basis where possible; a row where no structural pivot
         // exists is redundant and keeps its artificial at level zero.
-        for row in 0..tableau.rows.len() {
-            let basic = tableau.basis[row];
-            if basic >= artificial_base {
-                let pivot_col = (0..artificial_base).find(|&j| tableau.rows[row][j].abs() > 1e-7);
+        for row in 0..tableau.rows() {
+            if tableau.basis[row] >= artificial_base {
+                let pivot_col = (0..artificial_base).find(|&j| tableau.at(row, j).abs() > 1e-7);
                 if let Some(col) = pivot_col {
                     tableau.pivot(row, col);
                 }
             }
         }
-        // Entering-column selection is capped at `artificial_base`, so the
-        // identity block can never re-enter the basis in phase 2; unlike the
-        // classic "zero the artificial columns" trick this keeps B⁻¹ intact
-        // for warm restarts.
+        // Entering-column selection is capped at `artificial_base`, so no
+        // artificial can re-enter the basis in phase 2; unlike the classic
+        // "zero the artificial columns" trick this keeps B⁻¹ intact for
+        // warm restarts.
     }
 
     // Phase 2: minimise the real objective.
-    let mut phase2_cost = vec![0.0; n_total];
-    phase2_cost[..n].copy_from_slice(&std_form.cost);
-    let optimum = match tableau.optimize(&phase2_cost) {
+    let optimum = match tableau.optimize(&std_form.cost, 0.0) {
         PhaseOutcome::Optimal(optimum) => optimum,
-        PhaseOutcome::Unbounded => {
-            let mut solution = LpSolution::non_optimal(LpStatus::Unbounded);
-            solution.iterations = tableau.iterations;
-            return (solution, None);
-        }
-        PhaseOutcome::IterationLimit => {
-            let mut solution = LpSolution::non_optimal(LpStatus::IterationLimit);
-            solution.iterations = tableau.iterations;
-            return (solution, None);
-        }
-        PhaseOutcome::Cancelled => {
-            let mut solution = LpSolution::non_optimal(LpStatus::Cancelled);
-            solution.iterations = tableau.iterations;
-            return (solution, None);
-        }
+        PhaseOutcome::Unbounded => return stopped(LpStatus::Unbounded, &tableau),
+        PhaseOutcome::IterationLimit => return stopped(LpStatus::IterationLimit, &tableau),
+        PhaseOutcome::Cancelled => return stopped(LpStatus::Cancelled, &tableau),
     };
 
     let values = extract_values(lp, &std_form.mapping, &tableau);
@@ -863,12 +918,12 @@ fn solve_cold(
     // meaningful level; redundant rows keep theirs at ~0, which the warm
     // path re-checks against the refreshed rhs.
     let snapshot = want_snapshot.then(|| BasisSnapshot {
-        rows: tableau.rows,
+        data: tableau.data,
+        width: tableau.width,
         basis: tableau.basis,
-        signs,
-        n,
+        inverse,
+        n: std_form.num_vars,
         artificial_base,
-        n_total,
         structure: fingerprint(lp, &std_form.cost),
         warm_uses: 0,
     });
@@ -888,6 +943,23 @@ fn solve_cold(
 /// Backwards-compatible cold solve.
 pub(crate) fn solve(lp: &LinearProgram, cancel: Option<&CancelToken>) -> LpSolution {
     solve_cold(lp, false, cancel).0
+}
+
+/// Pushes a new standard-form rhs `b` through the accumulated row
+/// operations: row `r`'s rhs becomes `Σ_k B⁻¹[r][k] · sign_k · b_k`.
+fn refresh_rhs(snapshot: &mut BasisSnapshot, b: &[f64]) {
+    let width = snapshot.width;
+    let inverse = &snapshot.inverse;
+    for row in snapshot.data.chunks_exact_mut(width) {
+        let mut value = 0.0;
+        for (k, (b_k, sign)) in b.iter().zip(inverse.signs.iter()).enumerate() {
+            let g = inverse.entry(row, k);
+            if g != 0.0 {
+                value += g * sign * b_k;
+            }
+        }
+        row[width - 1] = value;
+    }
 }
 
 /// Warm re-solve from a previous basis after bound-only (and constraint-rhs)
@@ -912,53 +984,43 @@ pub(crate) fn solve_from_basis(
     }
 
     // Refresh the rhs column: new standard-form b, pushed through the
-    // accumulated row operations held in the identity block.
+    // accumulated row operations held in the inverse columns.
     let b = standard_rhs(lp, &mapping);
-    let m = snapshot.rows.len();
+    let m = snapshot.basis.len();
     if b.len() != m {
         return None;
     }
-    for r in 0..m {
-        let mut value = 0.0;
-        for (k, (b_k, sign)) in b.iter().zip(snapshot.signs.iter()).enumerate() {
-            let g = snapshot.rows[r][snapshot.artificial_base + k];
-            if g != 0.0 {
-                value += g * sign * b_k;
-            }
-        }
-        let slot = snapshot.n_total;
-        snapshot.rows[r][slot] = value;
-    }
+    refresh_rhs(snapshot, &b);
 
     // A basic artificial (redundant row in the parent) must stay at level
     // zero under the new rhs; otherwise the rows have become inconsistent in
     // a way only a cold phase 1 can sort out.
+    let width = snapshot.width;
     for (row, &basic) in snapshot.basis.iter().enumerate() {
-        if basic >= snapshot.artificial_base && snapshot.rows[row][snapshot.n_total].abs() > 1e-7 {
+        if basic >= snapshot.artificial_base && snapshot.data[(row + 1) * width - 1].abs() > 1e-7 {
             return None;
         }
     }
 
     let mut tableau = Tableau {
-        rows: std::mem::take(&mut snapshot.rows),
+        data: std::mem::take(&mut snapshot.data),
+        width,
         basis: std::mem::take(&mut snapshot.basis),
-        n_total: snapshot.n_total,
         artificial_base: snapshot.artificial_base,
+        pivot_row: vec![0.0; width],
         iterations: 0,
-        budget: iteration_budget(lp, snapshot.n_total, m),
+        budget: iteration_budget(lp, snapshot.artificial_base, m),
         cancel: cancel.cloned(),
     };
-    let mut phase_cost = vec![0.0; snapshot.n_total];
-    phase_cost[..num_vars].copy_from_slice(&cost);
 
     // Dual simplex repairs primal feasibility from the (still dual-feasible)
     // parent basis, then a primal clean-up pass polishes any reduced-cost
     // noise left by the refresh.
     let restore = |snapshot: &mut BasisSnapshot, tableau: Tableau| {
-        snapshot.rows = tableau.rows;
+        snapshot.data = tableau.data;
         snapshot.basis = tableau.basis;
     };
-    match tableau.dual_optimize(&phase_cost) {
+    match tableau.dual_optimize(&cost) {
         DualOutcome::Feasible => {}
         DualOutcome::Infeasible { row } => {
             // Dual unbounded ⇔ primal infeasible — but only accept the
@@ -970,8 +1032,8 @@ pub(crate) fn solve_from_basis(
             if !certify_infeasible_row(
                 lp,
                 &mapping,
-                &tableau.rows[row],
-                &snapshot.signs,
+                tableau.row(row),
+                &snapshot.inverse,
                 num_vars,
                 snapshot.artificial_base,
                 &b,
@@ -993,7 +1055,7 @@ pub(crate) fn solve_from_basis(
         // immediately, which keeps the decline/fallback contract uniform.
         DualOutcome::IterationLimit | DualOutcome::Cancelled => return None,
     }
-    let optimum = match tableau.optimize(&phase_cost) {
+    let optimum = match tableau.optimize(&cost, 0.0) {
         PhaseOutcome::Optimal(optimum) => optimum,
         // A dual-feasible start precludes an unbounded primal; reaching
         // either arm means numerical trouble — fall back to a cold solve.
@@ -1300,5 +1362,169 @@ mod tests {
         let warm = lp.solve_from_basis(&mut snapshot).expect("warm");
         assert_eq!(warm.status, LpStatus::Optimal);
         assert_close(warm.objective, 2.5);
+    }
+
+    /// A program with every standard-form row kind: `≤`, `≥`, `=`, rows
+    /// negated for a negative rhs (one `≤`, one `≥`), a free variable, a
+    /// mirrored variable and the bound rows of boxed variables.
+    fn every_row_kind() -> LinearProgram {
+        let mut lp = LinearProgram::new();
+        let x = lp.add_variable(-1.0, 3.0);
+        let y = lp.add_variable(0.0, 4.0);
+        let z = lp.add_variable(f64::NEG_INFINITY, 2.0);
+        let f = lp.add_variable(f64::NEG_INFINITY, f64::INFINITY);
+        lp.set_objective(&[(x, 1.0), (y, -2.0), (z, 0.5), (f, 1.0)], false);
+        lp.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Le, 5.0);
+        lp.add_constraint(&[(x, 1.0), (z, -1.0)], ConstraintOp::Ge, 0.5);
+        lp.add_constraint(&[(y, 1.0), (z, 1.0), (f, -1.0)], ConstraintOp::Eq, 1.0);
+        lp.add_constraint(&[(x, -1.0), (y, -1.0)], ConstraintOp::Le, -1.5);
+        lp.add_constraint(&[(y, 1.0), (f, 1.0)], ConstraintOp::Ge, -6.0);
+        lp.add_constraint(&[(f, 1.0)], ConstraintOp::Le, 3.0);
+        lp
+    }
+
+    /// Checks `T = W·A`: every structural and slack column of the live
+    /// tableau, and its rhs, is the row multipliers read back from the
+    /// implicit inverse columns times the original (un-negated)
+    /// standard-form rows of the program as it stands now. The build-time
+    /// row signs are the snapshot's own: a bound edit can flip the sign of a
+    /// row's standard-form rhs without the warm path rebuilding anything.
+    fn assert_inverse_rebuilds_tableau(lp: &LinearProgram, snapshot: &BasisSnapshot) {
+        let (initial, rebuilt) = build_tableau(&standardize(lp));
+        assert_eq!(initial.width, snapshot.width);
+        let inverse_col = |cols: &[(usize, f64)]| cols.iter().map(|&(c, _)| c).collect::<Vec<_>>();
+        assert_eq!(
+            inverse_col(&rebuilt.cols),
+            inverse_col(&snapshot.inverse.cols)
+        );
+        let original = |k: usize, j: usize| rebuilt.signs[k] * initial.at(k, j);
+        let width = snapshot.width;
+        let columns: Vec<usize> = (0..snapshot.artificial_base).chain([width - 1]).collect();
+        for (r, row) in snapshot.data.chunks_exact(width).enumerate() {
+            let w = snapshot.inverse.row_weights(row);
+            for &j in &columns {
+                let rebuilt: f64 = w
+                    .iter()
+                    .enumerate()
+                    .map(|(k, wk)| wk * original(k, j))
+                    .sum();
+                assert!(
+                    (rebuilt - row[j]).abs() < 1e-9,
+                    "T[{r}][{j}] = {} but W·A gives {rebuilt}",
+                    row[j]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn implicit_inverse_rebuilds_the_tableau_for_every_row_kind() {
+        let mut lp = every_row_kind();
+        let (cold, snapshot) = lp.solve_with_snapshot();
+        assert_eq!(cold.status, LpStatus::Optimal);
+        assert!(cold.iterations > 0);
+        let mut snapshot = snapshot.expect("optimal solve yields a snapshot");
+        // All row kinds are present: slack columns with both build-time
+        // coefficients, negated rows, and one `=` identity column.
+        let inverse = &snapshot.inverse;
+        assert!(inverse.cols.iter().any(|&(_, c)| c > 0.0));
+        assert!(inverse.cols.iter().any(|&(_, c)| c < 0.0));
+        assert!(inverse.signs.iter().any(|&s| s < 0.0));
+        assert_eq!(
+            inverse
+                .cols
+                .iter()
+                .filter(|&&(col, _)| col >= snapshot.artificial_base)
+                .count(),
+            1
+        );
+        assert_inverse_rebuilds_tableau(&lp, &snapshot);
+
+        // After warm re-solves the refreshed rhs obeys the same identity.
+        lp.set_bounds(0, 0.5, 1.0);
+        lp.set_constraint_rhs(0, 2.0);
+        let warm = lp.solve_from_basis(&mut snapshot).expect("warm");
+        assert!(warm.warm_started);
+        assert_inverse_rebuilds_tableau(&lp, &snapshot);
+        lp.set_bounds(1, 1.0, 1.5);
+        let warm = lp.solve_from_basis(&mut snapshot).expect("warm");
+        assert_eq!(warm.status, lp.solve().status);
+        assert_inverse_rebuilds_tableau(&lp, &snapshot);
+    }
+
+    /// Drives `lp`'s warm path up to the dual simplex from `snapshot` and
+    /// returns the row it declared infeasible, with the data the
+    /// certificate is checked against.
+    fn warm_infeasible_row(
+        lp: &LinearProgram,
+        snapshot: &mut BasisSnapshot,
+    ) -> (Vec<f64>, Vec<VarMap>, Vec<f64>) {
+        let (mapping, num_vars) = build_mapping(lp);
+        let (cost, _) = standard_cost(lp, &mapping, num_vars);
+        let b = standard_rhs(lp, &mapping);
+        refresh_rhs(snapshot, &b);
+        let mut tableau = Tableau {
+            data: snapshot.data.clone(),
+            width: snapshot.width,
+            basis: snapshot.basis.clone(),
+            artificial_base: snapshot.artificial_base,
+            pivot_row: vec![0.0; snapshot.width],
+            iterations: 0,
+            budget: 1000,
+            cancel: None,
+        };
+        match tableau.dual_optimize(&cost) {
+            DualOutcome::Infeasible { row } => (tableau.row(row).to_vec(), mapping, b),
+            _ => panic!("expected the dual simplex to declare infeasibility"),
+        }
+    }
+
+    #[test]
+    fn certificate_accepts_farkas_rows_and_rejects_perturbed_ones() {
+        // x + y ≥ 3, x + y = 3 and the negated −x − y ≤ −3 are each
+        // feasible on [0, 5]² and infeasible on [0, 1]².
+        let kinds = [
+            (1.0, ConstraintOp::Ge, 3.0),
+            (1.0, ConstraintOp::Eq, 3.0),
+            (-1.0, ConstraintOp::Le, -3.0),
+        ];
+        for (coeff, op, rhs) in kinds {
+            let mut lp = LinearProgram::new();
+            let x = lp.add_variable(0.0, 5.0);
+            let y = lp.add_variable(0.0, 5.0);
+            lp.add_constraint(&[(x, coeff), (y, coeff)], op, rhs);
+            let (cold, snapshot) = lp.solve_with_snapshot();
+            assert_eq!(cold.status, LpStatus::Optimal);
+            let mut snapshot = snapshot.expect("snapshot");
+            lp.set_bounds(x, 0.0, 1.0);
+            lp.set_bounds(y, 0.0, 1.0);
+
+            let (row, mapping, b) = warm_infeasible_row(&lp, &mut snapshot);
+            let certify = |row: &[f64]| {
+                certify_infeasible_row(
+                    &lp,
+                    &mapping,
+                    row,
+                    &snapshot.inverse,
+                    snapshot.n,
+                    snapshot.artificial_base,
+                    &b,
+                )
+            };
+            assert!(certify(&row), "{op:?}: a true Farkas row must certify");
+
+            // Dropping the constraint's multiplier leaves only bound rows,
+            // which cannot prove infeasibility.
+            let mut perturbed = row.clone();
+            perturbed[snapshot.inverse.cols[0].0] = 0.0;
+            assert!(!certify(&perturbed), "{op:?}: perturbed row certified");
+            // A negated row has w·b > 0.
+            let negated: Vec<f64> = row.iter().map(|v| -v).collect();
+            assert!(!certify(&negated), "{op:?}: negated row certified");
+
+            // The full warm path agrees and keeps the snapshot usable.
+            let warm = lp.solve_from_basis(&mut snapshot).expect("certified");
+            assert_eq!(warm.status, LpStatus::Infeasible);
+        }
     }
 }

@@ -137,7 +137,9 @@ impl ObligationServer {
     /// moves shard regions); moved obligations are simply re-solved.
     ///
     /// # Errors
-    /// [`ServeError::Core`] when the requests disagree on anything other
+    /// [`ServeError::InvalidRequest`] when either request fails
+    /// [`VerificationRequest::validate`]; [`ServeError::Core`] when the
+    /// requests disagree on anything other
     /// than the perception network and regions, when `prior` does not
     /// match `prior_request`'s decomposition, when the two requests
     /// decompose into different obligation shapes, or when decomposition
@@ -149,6 +151,8 @@ impl ObligationServer {
         prior: &RequestReport,
         request: &VerificationRequest,
     ) -> Result<ProofDeltaReport, ServeError> {
+        prior_request.validate()?;
+        request.validate()?;
         if prior_request.cut_layer != request.cut_layer {
             return Err(inconsistent("delta request changes the cut layer"));
         }

@@ -3,12 +3,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dpv_absint::{AbstractDomain, BoxDomain};
+use dpv_absint::{BoxDomain, Interval};
 use dpv_core::{
     split_box, Characterizer, CoreError, RiskCondition, StartRegion, VerificationProblem,
 };
 use dpv_nn::Network;
 use dpv_shard::ShardedEnvelope;
+
+use crate::server::ServeError;
 
 /// Where a request's proof obligations live at the cut layer.
 #[derive(Debug, Clone)]
@@ -104,20 +106,106 @@ fn bisect(root: &BoxDomain, levels: u32, out: &mut Vec<BoxDomain>) {
     bisect(&right, levels - 1, out);
 }
 
+fn invalid(field: &'static str, reason: String) -> ServeError {
+    ServeError::InvalidRequest { field, reason }
+}
+
+/// Every interval finite with `lo ≤ hi`; `what` names the bound family in
+/// the error.
+fn check_intervals(what: &str, intervals: &[Interval]) -> Result<(), ServeError> {
+    for (i, interval) in intervals.iter().enumerate() {
+        if !interval.lo.is_finite() || !interval.hi.is_finite() {
+            return Err(invalid(
+                "region",
+                format!(
+                    "{what} {i} is not finite: [{}, {}]",
+                    interval.lo, interval.hi
+                ),
+            ));
+        }
+        if interval.lo > interval.hi {
+            return Err(invalid(
+                "region",
+                format!("{what} {i} is inverted: [{}, {}]", interval.lo, interval.hi),
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn check_region(region: &StartRegion) -> Result<(), ServeError> {
+    match region {
+        StartRegion::Box(b) => check_intervals("bound", b.bounds()),
+        StartRegion::Octagon(o) => {
+            check_intervals("bound", o.bounds())?;
+            check_intervals("difference bound", o.diffs())
+        }
+    }
+}
+
 impl VerificationRequest {
+    /// Admission checks on the caller-supplied numbers that encoding and
+    /// solving assume: every region bound finite with `lower ≤ upper`,
+    /// every risk threshold and coefficient finite, and a region as wide as
+    /// the cut layer. Costs one pass over the regions and risks; the
+    /// network weights are not walked.
+    ///
+    /// # Errors
+    /// [`ServeError::InvalidRequest`] naming the field at fault.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        for risk in &self.risks {
+            for inequality in risk.inequalities() {
+                if !inequality.rhs.is_finite() {
+                    return Err(invalid(
+                        "risks",
+                        format!(
+                            "risk `{}` has a non-finite threshold {}",
+                            risk.name(),
+                            inequality.rhs
+                        ),
+                    ));
+                }
+                if inequality.coeffs.iter().any(|c| !c.is_finite()) {
+                    return Err(invalid(
+                        "risks",
+                        format!("risk `{}` has a non-finite coefficient", risk.name()),
+                    ));
+                }
+            }
+        }
+        // An out-of-range cut is reported by decomposition, as before.
+        let cut_width = (self.cut_layer < self.perception.len())
+            .then(|| self.perception.layer_output_dim(self.cut_layer));
+        let region_dim = match &self.region {
+            RegionSpec::Single(region) => {
+                check_region(region)?;
+                region.dim()
+            }
+            RegionSpec::Sharded { envelope, .. } => {
+                for shard in envelope.shards() {
+                    check_intervals("shard bound", shard.neuron_bounds())?;
+                    check_intervals("shard difference bound", shard.diff_bounds())?;
+                }
+                envelope.dim()
+            }
+        };
+        match cut_width {
+            Some(width) if width != region_dim => Err(invalid(
+                "region",
+                format!(
+                    "region has dimension {region_dim} but cut layer {} has width {width}",
+                    self.cut_layer
+                ),
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// The shard roots of the request, in shard-index order.
     fn shard_roots(&self, problem: &VerificationProblem) -> Result<Vec<StartRegion>, CoreError> {
         match &self.region {
-            RegionSpec::Single(region) => {
-                if region.box_domain().dim()
-                    != problem.perception().layer_output_dim(problem.cut_layer())
-                {
-                    return Err(CoreError::Inconsistent(
-                        "request region dimension does not match the cut-layer width".into(),
-                    ));
-                }
-                Ok(vec![region.clone()])
-            }
+            // `validate` has already matched the region's width to the cut.
+            RegionSpec::Single(region) => Ok(vec![region.clone()]),
             RegionSpec::Sharded {
                 envelope,
                 use_difference_constraints,

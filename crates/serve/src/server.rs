@@ -83,6 +83,16 @@ pub enum ServeError {
     Core(CoreError),
     /// The request decomposed into zero obligations.
     EmptyRequest,
+    /// A caller-supplied number is unusable: a non-finite or inverted
+    /// region bound, a non-finite risk threshold or coefficient, or a
+    /// region whose width does not match the cut layer. Raised at
+    /// admission, before any obligation is encoded or solved.
+    InvalidRequest {
+        /// The request field at fault (`"region"` or `"risks"`).
+        field: &'static str,
+        /// What is wrong with it.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -90,6 +100,9 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Core(e) => write!(f, "core error: {e}"),
             ServeError::EmptyRequest => write!(f, "request decomposed into zero obligations"),
+            ServeError::InvalidRequest { field, reason } => {
+                write!(f, "invalid request `{field}`: {reason}")
+            }
         }
     }
 }
@@ -311,9 +324,7 @@ impl fmt::Debug for ObligationServer {
     }
 }
 
-/// Builder for an [`ObligationServer`] — the single construction path
-/// (the `new`/`new_traced` constructor fork it replaced survives one PR
-/// as deprecated shims).
+/// Builder for an [`ObligationServer`] — the single construction path.
 ///
 /// Every axis defaults sensibly: stock [`ServeConfig`], tracing disabled
 /// (the zero-overhead production default), empty fault plan.
@@ -382,27 +393,7 @@ impl ObligationServer {
         ServerBuilder::new()
     }
 
-    /// Starts a server with `config.workers` persistent worker threads
-    /// and tracing disabled (the zero-overhead default).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ObligationServer::builder().config(..).build()`"
-    )]
-    pub fn new(config: ServeConfig) -> Self {
-        Self::start(config, Tracer::disabled(), FaultPlan::default())
-    }
-
-    /// Starts a server recording into `tracer`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ObligationServer::builder().config(..).tracer(..).build()`"
-    )]
-    pub fn new_traced(config: ServeConfig, tracer: Tracer) -> Self {
-        Self::start(config, tracer, FaultPlan::default())
-    }
-
-    /// The single construction path behind [`ServerBuilder::build`] and
-    /// the deprecated constructor shims.
+    /// The construction path behind [`ServerBuilder::build`].
     fn start(config: ServeConfig, tracer: Tracer, fault_plan: FaultPlan) -> Self {
         let config = ServeConfig {
             workers: config.workers.max(1),
@@ -447,9 +438,10 @@ impl ObligationServer {
     /// order.
     ///
     /// # Errors
-    /// [`ServeError::Core`] when decomposition or encoding fails;
-    /// [`ServeError::EmptyRequest`] when the request holds no risk
-    /// conditions or regions.
+    /// [`ServeError::InvalidRequest`] when [`VerificationRequest::validate`]
+    /// rejects the request; [`ServeError::Core`] when decomposition or
+    /// encoding fails; [`ServeError::EmptyRequest`] when the request holds
+    /// no risk conditions or regions.
     pub fn serve(&self, request: &VerificationRequest) -> Result<RequestReport, ServeError> {
         self.serve_with_prefill(request, &[])
     }
@@ -471,6 +463,7 @@ impl ObligationServer {
         request: &VerificationRequest,
         prefill: &[(usize, Verdict)],
     ) -> Result<RequestReport, ServeError> {
+        request.validate()?;
         let started = Instant::now();
         let request_seq = self.inner.request_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let rtrace = self.inner.admission.tagged(request_seq, NO_OBLIGATION);
