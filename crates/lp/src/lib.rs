@@ -8,17 +8,21 @@
 //! The crate provides:
 //!
 //! * [`LinearProgram`] — a model builder for LPs with per-variable bounds
-//!   and `≤ / ≥ / =` row constraints, solved by a dense two-phase primal
-//!   simplex ([`LinearProgram::solve`]) over one flat row-major tableau. The
-//!   tableau carries no identity block: `B⁻¹` is read from the slack
-//!   columns (and one identity column per `=` row), which hold the same
-//!   values up to an exact sign. A solved program can hand out a
-//!   [`BasisSnapshot`] ([`LinearProgram::solve_with_snapshot`]); after
-//!   **bound-only** edits ([`LinearProgram::set_bounds`],
+//!   and `≤ / ≥ / =` row constraints, solved by a dense two-phase
+//!   bounded-variable simplex ([`LinearProgram::solve`]) over one flat
+//!   row-major tableau with one row per constraint. Variable bounds add no
+//!   rows: each nonbasic variable sits at its lower or upper bound, and the
+//!   ratio tests handle both. The tableau carries no identity block: `B⁻¹`
+//!   is read from the slack columns (and one identity column per `=` row),
+//!   which hold the same values up to an exact sign. A solved program can
+//!   hand out a [`BasisSnapshot`] ([`LinearProgram::solve_with_snapshot`]);
+//!   after **bound-only** edits ([`LinearProgram::set_bounds`],
 //!   [`LinearProgram::set_constraint_rhs`]) the snapshot re-solves warm via
 //!   a dual-simplex repair ([`LinearProgram::solve_from_basis`]) instead of
 //!   two cold phases — the hot-path primitive behind incremental
-//!   branch-and-bound and the refinement sweep.
+//!   branch-and-bound and the refinement sweep. A warm infeasibility is
+//!   only trusted with a Farkas certificate recomputed over the variable
+//!   box from the live constraints.
 //! * [`MilpProblem`] — an LP plus a set of binary variables, solved by
 //!   branch-and-bound over the binaries ([`MilpProblem::solve`]), with every
 //!   node relaxation warm-started from the most recent basis

@@ -109,7 +109,8 @@ pub struct LinearProgram {
     pub(crate) objective: Vec<f64>,
     pub(crate) maximize: bool,
     pub(crate) constraints: Vec<Constraint>,
-    /// Optional simplex pivot budget; `None` selects a size-derived default.
+    /// Optional simplex pivot budget; `None` selects
+    /// [`LinearProgram::estimated_iteration_budget`].
     pub(crate) max_iterations: Option<usize>,
 }
 
@@ -260,8 +261,8 @@ impl LinearProgram {
         self.constraints[index].rhs = rhs;
     }
 
-    /// Overrides the simplex pivot budget (`None` restores the size-derived
-    /// default). When the budget runs out a solve reports
+    /// Overrides the simplex pivot budget (`None` restores the default,
+    /// [`LinearProgram::estimated_iteration_budget`]). When the budget runs out a solve reports
     /// [`LpStatus::IterationLimit`] instead of panicking.
     pub fn set_iteration_limit(&mut self, limit: Option<usize>) {
         self.max_iterations = limit;
@@ -321,12 +322,11 @@ impl LinearProgram {
         })
     }
 
-    /// A conservative overestimate of the size-derived default simplex pivot
-    /// budget this program receives when no explicit limit is set (the
-    /// internal default depends on the standard-form dimensions, which are
-    /// bounded by this expression). Escalated retries use it to raise the
-    /// budget by a known factor without reverse-engineering the
-    /// standardisation.
+    /// The default simplex budget (pivots plus bound flips) of one solve of
+    /// this program when no explicit limit is set: a formula over the user
+    /// model's variable and constraint counts, independent of the
+    /// standard-form layout. Escalated retries scale it to raise the budget
+    /// by a known factor.
     pub fn estimated_iteration_budget(&self) -> usize {
         50_000 + 200 * (5 * self.num_variables() + 3 * self.num_constraints())
     }

@@ -1,19 +1,38 @@
-//! Dense two-phase primal simplex with warm-start support.
+//! Dense two-phase bounded-variable simplex with warm-start support.
 //!
 //! The implementation favours clarity and robustness over speed: the
 //! verification instances produced by `dpv-core` stay small (hundreds of
-//! variables), and Bland's rule guarantees termination without cycling.
+//! variables). Pivot choices follow Bland-style smallest-index rules, and
+//! a pivot budget backstops termination: running out is reported as
+//! [`LpStatus::IterationLimit`], never as a verdict.
+//!
+//! # Standard form and variable bounds
+//!
+//! Every user variable maps onto non-negative standard-form variables
+//! (shifted by its lower bound, mirrored at its upper bound, or split when
+//! free). A variable with both bounds finite keeps its width as an
+//! **implicit** upper bound: `0 ≤ z_j ≤ u_j` with `u_j = hi − lo`, and no
+//! tableau row. Every nonbasic variable sits at one of its bounds, recorded
+//! by an *at-upper* flag; slack and free-split variables have `u = ∞` and
+//! stay at zero when nonbasic. The primal phases use the bounded ratio test
+//! (a basic variable may leave at either bound, and the entering variable
+//! may simply flip to its other bound without a pivot). The dual simplex
+//! picks a leaving row whose basic value is below 0 or above its `u`, and
+//! prices at-upper columns with the opposite sign. A fixed variable
+//! (`u = 0`, a branch-and-bound fixing) never enters the basis.
 //!
 //! # Tableau layout
 //!
-//! The tableau is one row-major `Vec<f64>`, one row per standard-form
-//! constraint, with columns in this order: the structural variables, one
-//! slack/surplus column per `≤`/`≥` row, one identity column per `=` row,
-//! and the right-hand side. `=` rows are the only rows without a slack, so
-//! their identity column doubles as their phase-1 artificial variable; every
-//! other row starts with its slack basic when the slack's coefficient is
-//! `+1`, and otherwise (a `≥` row, or a `≤` row negated for a negative rhs)
-//! with a **logical** artificial that has no column of its own.
+//! The tableau is one row-major `Vec<f64>`, one row per user constraint,
+//! with columns in this order: the structural variables, one slack/surplus
+//! column per `≤`/`≥` row, one identity column per `=` row, and the
+//! right-hand side, which holds the **current value** of each row's basic
+//! variable (nonbasic variables at their bounds). `=` rows are the only rows
+//! without a slack, so their identity column doubles as their phase-1
+//! artificial variable; every other row starts with its slack basic when the
+//! slack's coefficient is `+1`, and otherwise (a `≥` row, or a `≤` row
+//! negated for a negative rhs) with a **logical** artificial that has no
+//! column of its own.
 //!
 //! Basis entries are logical indices: columns below `artificial_base` are
 //! their own index, and the artificial of row `r` is `artificial_base + r`
@@ -26,10 +45,8 @@
 //! `B⁻¹` times its build-time column. Column `k` of `B⁻¹` is therefore
 //! readable from any column that started as `±e_k`: the identity column of
 //! an `=` row, or the slack column of any other row scaled by its
-//! build-time coefficient (`±1`, so the scaling is exact). Negating an f64
-//! is exact and rounding is symmetric under sign, so the values read this
-//! way are bit-for-bit the values a full identity block would hold, and the
-//! narrowing changes no pivot choice, no count and no result.
+//! build-time coefficient (`±1`, so the scaling is exact). With no bound
+//! rows, `B⁻¹` is `m × m` over the constraint rows only.
 //!
 //! # Warm starts
 //!
@@ -37,35 +54,39 @@
 //! matrix under different variable bounds thousands of times. A cold solve
 //! pays for two full simplex phases every time; the warm path
 //! ([`LinearProgram::solve_from_basis`]) instead reuses the final tableau of
-//! a previous solve (a [`BasisSnapshot`]):
+//! a previous solve (a [`BasisSnapshot`], which keeps the at-upper flags):
 //!
-//! * the accumulated row operations `G = B⁻¹·S` are always available
-//!   through the implicit inverse columns above;
 //! * a bound-only change alters *only* the standard-form right-hand side `b`
-//!   (variable shifts move constraint offsets; bound rows get a new width),
-//!   never the coefficient matrix or the standard-form cost vector — so the
-//!   old basis stays **dual feasible** and the new tableau rhs is just
-//!   `G·S·b'`, an O(m²) refresh instead of a rebuild-and-re-factor;
-//! * a **dual simplex** phase then repairs primal feasibility (negative rhs
-//!   entries), after which a short primal clean-up polishes any residual
-//!   reduced-cost noise.
+//!   and the implicit upper bounds `u`, never the coefficient matrix or the
+//!   standard-form cost vector — so the reduced costs are unchanged. Each
+//!   nonbasic boxed variable is moved to the bound its reduced cost prefers,
+//!   which keeps the basis **dual feasible**, and the basic values are
+//!   recomputed from the live constraints as `B⁻¹(b − Σ_{j at upper} A_j·u_j)`,
+//!   an O(m²) refresh instead of a rebuild-and-re-factor;
+//! * a **dual simplex** phase then repairs primal feasibility (basic values
+//!   outside `[0, u]`), after which a short primal clean-up polishes any
+//!   residual reduced-cost noise.
+//!
+//! # Soundness backstops
 //!
 //! The snapshot encodes a structural fingerprint (variable-bound finiteness
 //! pattern, constraint counts, objective); whenever it does not match the
 //! program being solved — or the numerics look off — the warm path declines
 //! and the caller falls back to a cold solve, so warm starting is purely an
-//! optimisation and never changes results.
+//! optimisation and never changes results. A warm optimum is re-validated
+//! as primal feasible for the actual program. A warm *infeasibility* is
+//! accepted only with a boxed Farkas certificate recomputed from the live
+//! constraints: the dual's row gives multipliers `w` with
+//! `min over z ∈ [0, u] of (w·A)·z > w·b`.
 
 use crate::{CancelToken, ConstraintOp, LinearProgram, LpSolution, LpStatus, SOLVER_EPS};
-
-/// A sparse constraint row `coeffs (op) rhs` over standard-form variables.
-type SparseRow = (Vec<(usize, f64)>, ConstraintOp, f64);
 
 /// How each user-facing variable maps onto the non-negative standard-form
 /// variables.
 #[derive(Debug, Clone, Copy)]
 enum VarMap {
-    /// `x = lower + z[idx]`
+    /// `x = lower + z[idx]`, with `z[idx] ≤ upper − lower` when the upper
+    /// bound is finite.
     Shifted { idx: usize, lower: f64 },
     /// `x = upper - z[idx]` (used when only the upper bound is finite)
     Mirrored { idx: usize, upper: f64 },
@@ -79,9 +100,10 @@ enum VarMap {
 /// **finiteness** may not, because it decides the standard-form layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VarKind {
-    /// Finite lower and upper bound (shifted variable plus a bound row).
+    /// Finite lower and upper bound (shifted variable with an implicit
+    /// upper bound).
     Boxed,
-    /// Finite lower bound only (shifted variable, no bound row).
+    /// Finite lower bound only (shifted variable, unbounded above).
     LowerOnly,
     /// Finite upper bound only (mirrored variable).
     UpperOnly,
@@ -101,8 +123,11 @@ fn var_kind(lo: f64, hi: f64) -> VarKind {
 struct StandardForm {
     /// Objective for the standard variables (minimisation).
     cost: Vec<f64>,
-    /// Constraint rows `a·z (op) rhs` over the standard variables.
+    /// Constraint rows `a·z (op) rhs` over the standard variables, one per
+    /// user constraint.
     rows: Vec<(Vec<f64>, ConstraintOp, f64)>,
+    /// Upper bound of each standard variable (`∞` unless boxed).
+    upper: Vec<f64>,
     /// Mapping from user variables to standard variables.
     mapping: Vec<VarMap>,
     /// Number of standard variables.
@@ -171,49 +196,55 @@ fn standard_cost(lp: &LinearProgram, mapping: &[VarMap], num_vars: usize) -> (Ve
     (cost, offset)
 }
 
-/// Standard-form right-hand sides in tableau row order (constraint rows
-/// first, then the bound rows of doubly-bounded variables in variable order),
-/// computed sparsely without materialising any coefficient rows. This is the
-/// only part of the standard form a bound-only change can alter.
-fn standard_rhs(lp: &LinearProgram, mapping: &[VarMap]) -> Vec<f64> {
+/// Implicit upper bound of each of the first `columns` standard-form
+/// columns: `hi − lo` for a boxed variable, `∞` for every other structural
+/// variable and for the slack columns that follow them.
+fn standard_upper(lp: &LinearProgram, mapping: &[VarMap], columns: usize) -> Vec<f64> {
+    let mut upper = vec![f64::INFINITY; columns];
+    for (i, map) in mapping.iter().enumerate() {
+        if let VarMap::Shifted { idx, lower } = *map {
+            if lp.upper[i].is_finite() {
+                upper[idx] = lp.upper[i] - lower;
+            }
+        }
+    }
+    upper
+}
+
+/// Standard-form right-hand side of each constraint row, computed sparsely
+/// without materialising any coefficient rows. With `at_upper` given, every
+/// flagged boxed variable is moved to the rhs at its upper bound, giving
+/// `b − Σ_{j at upper} A_j·u_j`: the system the basic variables solve.
+fn standard_rhs(lp: &LinearProgram, mapping: &[VarMap], at_upper: Option<&[bool]>) -> Vec<f64> {
     let mut rhs = Vec::with_capacity(lp.constraints.len());
     for constraint in &lp.constraints {
         let mut b = constraint.rhs;
         for (var, coeff) in &constraint.coeffs {
             match mapping[*var] {
-                VarMap::Shifted { lower, .. } => b -= coeff * lower,
+                VarMap::Shifted { idx, lower } => {
+                    if at_upper.is_some_and(|flags| flags[idx]) {
+                        b -= coeff * lp.upper[*var];
+                    } else {
+                        b -= coeff * lower;
+                    }
+                }
                 VarMap::Mirrored { upper, .. } => b -= coeff * upper,
                 VarMap::Split { .. } => {}
             }
         }
         rhs.push(b);
     }
-    for (i, map) in mapping.iter().enumerate() {
-        if let VarMap::Shifted { .. } = map {
-            if lp.upper[i].is_finite() {
-                rhs.push(lp.upper[i] - lp.lower[i]);
-            }
-        }
-    }
     rhs
 }
 
-/// Builds the standard form: all variables non-negative, objective minimised.
+/// Builds the standard form: all variables non-negative, boxed ones with an
+/// implicit upper bound, objective minimised.
 fn standardize(lp: &LinearProgram) -> StandardForm {
     let (mapping, num_vars) = build_mapping(lp);
-    let mut extra_rows: Vec<SparseRow> = Vec::new();
-    for (i, map) in mapping.iter().enumerate() {
-        if let VarMap::Shifted { idx, lower } = map {
-            if lp.upper[i].is_finite() {
-                extra_rows.push((vec![(*idx, 1.0)], ConstraintOp::Le, lp.upper[i] - lower));
-            }
-        }
-    }
-
     let (cost, offset) = standard_cost(lp, &mapping, num_vars);
+    let upper = standard_upper(lp, &mapping, num_vars);
 
-    // Constraint rows.
-    let mut rows = Vec::with_capacity(lp.constraints.len() + extra_rows.len());
+    let mut rows = Vec::with_capacity(lp.constraints.len());
     for constraint in &lp.constraints {
         let mut row = vec![0.0; num_vars];
         let mut rhs = constraint.rhs;
@@ -235,17 +266,11 @@ fn standardize(lp: &LinearProgram) -> StandardForm {
         }
         rows.push((row, constraint.op, rhs));
     }
-    for (sparse, op, rhs) in extra_rows {
-        let mut row = vec![0.0; num_vars];
-        for (idx, coeff) in sparse {
-            row[idx] += coeff;
-        }
-        rows.push((row, op, rhs));
-    }
 
     StandardForm {
         cost,
         rows,
+        upper,
         mapping,
         num_vars,
         offset,
@@ -320,15 +345,18 @@ impl InverseColumns {
 /// dual simplex can safely continue from.
 #[derive(Debug, Clone)]
 pub struct BasisSnapshot {
-    /// Row-major `m × width` tableau values, laid out as described in the
-    /// module docs: structural, slack and `=`-row identity columns, then the
-    /// rhs. The accumulated row operations are read through `inverse`.
+    /// Row-major `m × width` tableau values, one row per constraint, laid
+    /// out as described in the module docs: structural, slack and `=`-row
+    /// identity columns, then the basic values. The accumulated row
+    /// operations are read through `inverse`.
     data: Vec<f64>,
     /// Row stride of `data`: `artificial_base + n_eq + 1`.
     width: usize,
     /// Logical basic variable of each row (artificial of row `r` is
     /// `artificial_base + r`).
     basis: Vec<usize>,
+    /// Per column below `artificial_base`: nonbasic at its upper bound.
+    at_upper: Vec<bool>,
     /// Where the columns of `B⁻¹` live, plus the build-time row signs.
     inverse: InverseColumns,
     /// Number of structural standard-form variables.
@@ -368,18 +396,20 @@ enum DualOutcome {
     Feasible,
     /// The dual is unbounded along `row`'s direction — the primal is
     /// infeasible *if* the row still certifies it against the un-drifted
-    /// problem data (see `certify_infeasible_row`).
-    Infeasible { row: usize },
+    /// problem data (see `certify_infeasible_row`). `above` is true when
+    /// the row's basic variable exceeds its upper bound rather than
+    /// falling below zero.
+    Infeasible { row: usize, above: bool },
     /// The iteration budget ran out.
     IterationLimit,
     /// The caller's [`CancelToken`] tripped mid-phase.
     Cancelled,
 }
 
-/// Dense simplex tableau with an explicit basis.
+/// Dense simplex tableau with an explicit basis and bounded variables.
 struct Tableau {
     /// Row-major `m × width` values; the last column of each row is the
-    /// right-hand side.
+    /// current value of the row's basic variable.
     data: Vec<f64>,
     /// Row stride of `data`: `artificial_base + n_eq + 1`.
     width: usize,
@@ -390,12 +420,18 @@ struct Tableau {
     /// Number of structural plus slack columns. Only columns below it may
     /// enter the basis, in either phase, so artificials only ever leave.
     artificial_base: usize,
+    /// Upper bound of each column below `artificial_base` (`∞` unless the
+    /// column is a boxed structural variable; artificials are unbounded).
+    upper: Vec<f64>,
+    /// Per column below `artificial_base`: nonbasic at its upper bound
+    /// (always `false` for basic columns).
+    at_upper: Vec<bool>,
     /// The most recent pivot row after scaling — one buffer reused by every
     /// pivot's elimination and by the caller's reduced-cost update.
     pivot_row: Vec<f64>,
     /// Pivots performed so far (reported as `LpSolution::iterations`).
     iterations: usize,
-    /// Remaining pivot budget.
+    /// Remaining budget of pivots and bound flips.
     budget: usize,
     /// Cooperative cancellation handle, polled every [`CANCEL_POLL_MASK`]+1
     /// pivots.
@@ -406,6 +442,10 @@ struct Tableau {
 /// 64 pivots, cheap enough to disappear in the pivot cost while keeping the
 /// reaction latency to an expired deadline well below a millisecond.
 const CANCEL_POLL_MASK: usize = 63;
+
+/// Violation below which a basic value counts as inside its bounds in the
+/// dual simplex.
+const DUAL_FEASIBILITY_EPS: f64 = 1e-9;
 
 impl Tableau {
     fn rows(&self) -> usize {
@@ -424,6 +464,20 @@ impl Tableau {
         self.at(row, self.width - 1)
     }
 
+    /// Upper bound of a logical variable (artificials are unbounded).
+    fn upper_of(&self, var: usize) -> f64 {
+        self.upper.get(var).copied().unwrap_or(f64::INFINITY)
+    }
+
+    /// Value of a nonbasic column: its upper bound when flagged, else zero.
+    fn nonbasic_value(&self, col: usize) -> f64 {
+        if self.at_upper[col] {
+            self.upper[col]
+        } else {
+            0.0
+        }
+    }
+
     /// True when the caller's token tripped; only polled at the
     /// [`CANCEL_POLL_MASK`] stride so the atomic/clock reads stay off the
     /// per-pivot hot path.
@@ -432,16 +486,39 @@ impl Tableau {
             && self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Performs one pivot on (`row`, `col`), leaving the scaled pivot row in
-    /// `self.pivot_row`.
-    fn pivot(&mut self, row: usize, col: usize) {
+    /// Takes one unit of the pivot/flip budget; `false` when it is spent.
+    fn spend(&mut self) -> bool {
+        if self.budget == 0 {
+            return false;
+        }
+        self.budget -= 1;
+        true
+    }
+
+    /// Pivots `col` into the basis on `row`, leaving the scaled pivot row
+    /// in `self.pivot_row`. The leaving variable becomes nonbasic at its
+    /// upper bound when `leave_upper`, else at zero.
+    ///
+    /// The value column is eliminated as a displacement: the pivot row's
+    /// value is first measured from the leaving variable's new bound, so
+    /// after elimination it is the entering variable's displacement from
+    /// its old bound, to which that bound is then added.
+    fn pivot(&mut self, row: usize, col: usize, leave_upper: bool) {
         let width = self.width;
+        let leaving = self.basis[row];
+        let leave_value = if leave_upper {
+            self.upper[leaving]
+        } else {
+            0.0
+        };
+        let enter_value = self.nonbasic_value(col);
         let pivot = &mut self.data[row * width..(row + 1) * width];
         let pivot_value = pivot[col];
         debug_assert!(
             pivot_value.abs() > SOLVER_EPS,
             "pivot on a (near-)zero element"
         );
+        pivot[width - 1] -= leave_value;
         let inv = 1.0 / pivot_value;
         for value in pivot.iter_mut() {
             *value *= inv;
@@ -459,8 +536,32 @@ impl Tableau {
                 *o -= factor * p;
             }
         }
+        self.data[row * width + width - 1] += enter_value;
+        self.at_upper[col] = false;
+        if leaving < self.artificial_base {
+            self.at_upper[leaving] = leave_upper;
+        }
         self.basis[row] = col;
         self.iterations += 1;
+    }
+
+    /// Moves nonbasic `col` to its other bound without a pivot, updating the
+    /// basic values along its column.
+    fn flip(&mut self, col: usize) {
+        let width = self.width;
+        // x_B = β − T[·][col]·x_col, and x_col moves by ±u.
+        let delta = if self.at_upper[col] {
+            self.upper[col]
+        } else {
+            -self.upper[col]
+        };
+        for row in self.data.chunks_exact_mut(width) {
+            let a = row[col];
+            if a != 0.0 {
+                row[width - 1] += delta * a;
+            }
+        }
+        self.at_upper[col] = !self.at_upper[col];
     }
 
     /// Applies the last pivot's elimination step to a reduced-cost row.
@@ -473,21 +574,26 @@ impl Tableau {
         }
     }
 
-    /// Reduced-cost row `c - c_B B⁻¹ A` with the priced-out constant in the
-    /// rhs slot. The phase cost is `cost` on the leading columns (zero on
-    /// the rest below `artificial_base`) and `artificial_cost` on every
+    /// Phase cost of a logical variable: `cost` on the leading columns (zero
+    /// on the rest below `artificial_base`) and `artificial_cost` on every
     /// artificial variable.
+    fn cost_of(&self, var: usize, cost: &[f64], artificial_cost: f64) -> f64 {
+        if var < cost.len() {
+            cost[var]
+        } else if var >= self.artificial_base {
+            artificial_cost
+        } else {
+            0.0
+        }
+    }
+
+    /// Reduced-cost row `c - c_B B⁻¹ A` over the columns below
+    /// `artificial_base`.
     fn reduced_costs(&self, cost: &[f64], artificial_cost: f64) -> Vec<f64> {
-        let mut reduced = vec![0.0; self.width];
+        let mut reduced = vec![0.0; self.artificial_base];
         reduced[..cost.len()].copy_from_slice(cost);
         for (row_idx, &basic) in self.basis.iter().enumerate() {
-            let cb = if basic < cost.len() {
-                cost[basic]
-            } else if basic >= self.artificial_base {
-                artificial_cost
-            } else {
-                0.0
-            };
+            let cb = self.cost_of(basic, cost, artificial_cost);
             if cb == 0.0 {
                 continue;
             }
@@ -498,58 +604,130 @@ impl Tableau {
         reduced
     }
 
+    /// Phase objective at the current basic solution.
+    fn objective(&self, cost: &[f64], artificial_cost: f64) -> f64 {
+        let mut value = 0.0;
+        for (row, &basic) in self.basis.iter().enumerate() {
+            let c = self.cost_of(basic, cost, artificial_cost);
+            if c != 0.0 {
+                value += c * self.rhs(row);
+            }
+        }
+        for (j, &c) in cost.iter().enumerate() {
+            if self.at_upper[j] && c != 0.0 {
+                value += c * self.upper[j];
+            }
+        }
+        value
+    }
+
     /// Runs the primal simplex on the given phase cost (minimisation; see
-    /// [`Tableau::reduced_costs`]). Entering columns are restricted to
-    /// indices below `artificial_base`.
+    /// [`Tableau::reduced_costs`]) with the bounded ratio test. Entering
+    /// columns are restricted to indices below `artificial_base`, and fixed
+    /// columns (`u = 0`) never enter.
     fn optimize(&mut self, cost: &[f64], artificial_cost: f64) -> PhaseOutcome {
         let mut reduced = self.reduced_costs(cost, artificial_cost);
         loop {
             if self.cancelled() {
                 return PhaseOutcome::Cancelled;
             }
-            // Bland's rule: entering column is the smallest index with a
-            // negative reduced cost.
-            let entering = (0..self.artificial_base).find(|&j| reduced[j] < -SOLVER_EPS);
-            let Some(col) = entering else {
-                // Optimal: the objective equals the negated constant slot.
-                return PhaseOutcome::Optimal(-reduced[self.width - 1]);
-            };
-            // Ratio test, ties broken by the smallest basic variable index.
-            let mut leaving: Option<(usize, f64)> = None;
-            for row in 0..self.rows() {
-                let a = self.at(row, col);
-                if a > SOLVER_EPS {
-                    let ratio = self.rhs(row) / a;
-                    let better = match leaving {
-                        None => true,
-                        Some((best_row, best_ratio)) => {
-                            ratio < best_ratio - SOLVER_EPS
-                                || (ratio < best_ratio + SOLVER_EPS
-                                    && self.basis[row] < self.basis[best_row])
-                        }
-                    };
-                    if better {
-                        leaving = Some((row, ratio));
+            // Bland's rule over moves: the smallest index among columns that
+            // improve the objective by rising from zero, else the smallest
+            // among those that improve it by falling from their upper
+            // bound. Ranking both moves by column index alone took 1.7–3.6×
+            // as many cold-solve pivots on the big-M encodings measured.
+            let improves = |j: usize, from_upper: bool| {
+                self.upper[j] > 0.0
+                    && self.at_upper[j] == from_upper
+                    && if from_upper {
+                        reduced[j] > SOLVER_EPS
+                    } else {
+                        reduced[j] < -SOLVER_EPS
                     }
+            };
+            let entering = (0..self.artificial_base)
+                .find(|&j| improves(j, false))
+                .or_else(|| (0..self.artificial_base).find(|&j| improves(j, true)));
+            let Some(col) = entering else {
+                return PhaseOutcome::Optimal(self.objective(cost, artificial_cost));
+            };
+            let direction = if self.at_upper[col] { -1.0 } else { 1.0 };
+            // Bounded ratio test: a basic variable blocks at zero when it
+            // decreases and at its upper bound when it increases; ties are
+            // broken by the smallest basic variable index.
+            let mut leaving: Option<(usize, f64, bool)> = None;
+            for row in 0..self.rows() {
+                let a = direction * self.at(row, col);
+                let (ratio, to_upper) = if a > SOLVER_EPS {
+                    (self.rhs(row) / a, false)
+                } else if a < -SOLVER_EPS {
+                    let upper = self.upper_of(self.basis[row]);
+                    if upper == f64::INFINITY {
+                        continue;
+                    }
+                    ((upper - self.rhs(row)) / -a, true)
+                } else {
+                    continue;
+                };
+                let better = match leaving {
+                    None => true,
+                    Some((best_row, best_ratio, _)) => {
+                        ratio < best_ratio - SOLVER_EPS
+                            || (ratio < best_ratio + SOLVER_EPS
+                                && self.basis[row] < self.basis[best_row])
+                    }
+                };
+                if better {
+                    leaving = Some((row, ratio, to_upper));
                 }
             }
-            let Some((row, _)) = leaving else {
-                return PhaseOutcome::Unbounded;
+            // The entering column reaching its own other bound first is a
+            // bound flip: no basis change, a strict objective decrease.
+            let flip_ratio = self.upper[col];
+            let pivot = match leaving {
+                Some((row, ratio, to_upper)) if ratio < flip_ratio => Some((row, to_upper)),
+                _ if flip_ratio < f64::INFINITY => None,
+                _ => return PhaseOutcome::Unbounded,
             };
-            if self.budget == 0 {
+            if !self.spend() {
                 return PhaseOutcome::IterationLimit;
             }
-            self.budget -= 1;
-            self.pivot(row, col);
-            self.eliminate_reduced(&mut reduced, col);
+            match pivot {
+                Some((row, to_upper)) => {
+                    self.pivot(row, col, to_upper);
+                    self.eliminate_reduced(&mut reduced, col);
+                }
+                None => self.flip(col),
+            }
         }
     }
 
-    /// Runs the **dual** simplex: starting from a dual-feasible basis with
-    /// (possibly) negative rhs entries, pivots until the basis is primal
-    /// feasible. Returns `Optimal` when primal feasibility is restored,
-    /// `Unbounded` when a row proves the program **infeasible** (the dual is
-    /// unbounded), `IterationLimit` when the budget runs out.
+    /// Moves every nonbasic boxed column to the bound its reduced cost
+    /// prefers (upper when negative, zero when positive), which makes the
+    /// basis dual feasible for them whatever their bounds are now. The
+    /// basic values are stale until the caller refreshes them.
+    fn align_bounds_with(&mut self, reduced: &[f64]) {
+        for (j, &d) in reduced.iter().enumerate() {
+            if self.upper[j] < f64::INFINITY {
+                if d < -SOLVER_EPS {
+                    self.at_upper[j] = true;
+                } else if d > SOLVER_EPS {
+                    self.at_upper[j] = false;
+                }
+            }
+        }
+        for &basic in &self.basis {
+            if basic < self.artificial_base {
+                self.at_upper[basic] = false;
+            }
+        }
+    }
+
+    /// Runs the **dual** simplex: starting from a dual-feasible basis whose
+    /// basic values may lie outside their bounds, pivots until the basis is
+    /// primal feasible. Returns `Feasible` when primal feasibility is
+    /// restored, `Infeasible` when a row proves the program **infeasible**
+    /// (the dual is unbounded), `IterationLimit` when the budget runs out.
     ///
     /// Pivot rules: the verification LPs are heavily degenerate (zero
     /// objectives make every dual ratio tie at zero), where pure Bland
@@ -559,9 +737,8 @@ impl Tableau {
     /// pivots per bound change); if that phase ever stalls past `2·m + 32`
     /// pivots, the loop switches to Bland's dual rule, whose termination
     /// guarantee then applies. The overall budget still backstops
-    /// everything — running out means the caller re-solves cold.
-    fn dual_optimize(&mut self, cost: &[f64]) -> DualOutcome {
-        let mut reduced = self.reduced_costs(cost, 0.0);
+    /// everything — running out makes the warm caller re-solve cold.
+    fn dual_optimize(&mut self, reduced: &mut [f64]) -> DualOutcome {
         let heuristic_budget = 2 * self.rows() + 32;
         let mut pivots = 0usize;
         loop {
@@ -569,33 +746,45 @@ impl Tableau {
                 return DualOutcome::Cancelled;
             }
             let blands = pivots >= heuristic_budget;
-            // Leaving row: most-negative rhs (fast phase), or the smallest
-            // basic index among violated rows (Bland phase).
-            let mut leaving: Option<(usize, f64)> = None;
+            // Leaving row: the largest bound violation (fast phase), or the
+            // smallest basic index among violated rows (Bland phase).
+            let mut leaving: Option<(usize, f64, bool)> = None;
             for row in 0..self.rows() {
-                let rhs = self.rhs(row);
-                if rhs < -1e-9 {
-                    let better = match leaving {
-                        None => true,
-                        Some((best_row, best_rhs)) => {
-                            if blands {
-                                self.basis[row] < self.basis[best_row]
-                            } else {
-                                rhs < best_rhs
-                            }
-                        }
-                    };
-                    if better {
-                        leaving = Some((row, rhs));
+                let value = self.rhs(row);
+                let (violation, above) = if value < -DUAL_FEASIBILITY_EPS {
+                    (-value, false)
+                } else {
+                    let upper = self.upper_of(self.basis[row]);
+                    if value > upper + DUAL_FEASIBILITY_EPS {
+                        (value - upper, true)
+                    } else {
+                        continue;
                     }
+                };
+                let better = match leaving {
+                    None => true,
+                    Some((best_row, best_violation, _)) => {
+                        if blands {
+                            self.basis[row] < self.basis[best_row]
+                        } else {
+                            violation > best_violation
+                        }
+                    }
+                };
+                if better {
+                    leaving = Some((row, violation, above));
                 }
             }
-            let Some((row, _)) = leaving else {
+            let Some((row, _, above)) = leaving else {
                 return DualOutcome::Feasible;
             };
-            // Entering column: minimise reduced[j] / -a[row][j] over eligible
-            // columns with a negative pivot element; ties by the largest
-            // |pivot| (fast phase) or the smallest index (Bland phase).
+            // Entering column: one whose move towards its other bound pulls
+            // the basic value back inside its bounds, minimising
+            // |reduced[j]| / |a[row][j]|; ties by the largest |pivot| (fast
+            // phase) or the smallest index (Bland phase). The row's own
+            // basic column and fixed columns are skipped.
+            let row_sign = if above { -1.0 } else { 1.0 };
+            let basic = self.basis[row];
             let mut entering: Option<(usize, f64, f64)> = None;
             for (j, (&a, &red)) in self
                 .row(row)
@@ -604,6 +793,14 @@ impl Tableau {
                 .take(self.artificial_base)
                 .enumerate()
             {
+                if j == basic || self.upper[j] == 0.0 {
+                    continue;
+                }
+                let (a, red) = if self.at_upper[j] {
+                    (-row_sign * a, -red)
+                } else {
+                    (row_sign * a, red)
+                };
                 if a < -SOLVER_EPS {
                     let ratio = red.max(0.0) / -a;
                     let better = match entering {
@@ -625,24 +822,24 @@ impl Tableau {
                 }
             }
             let Some((col, _, _)) = entering else {
-                // A row demands a negative value from non-negative variables
-                // with non-negative coefficients: primal infeasible (subject
-                // to the caller's drift-free certificate check).
-                return DualOutcome::Infeasible { row };
+                // No column can move the violated basic value back towards
+                // its bounds: primal infeasible (subject to the caller's
+                // drift-free certificate check).
+                return DualOutcome::Infeasible { row, above };
             };
-            if self.budget == 0 {
+            if !self.spend() {
                 return DualOutcome::IterationLimit;
             }
-            self.budget -= 1;
             pivots += 1;
-            self.pivot(row, col);
-            self.eliminate_reduced(&mut reduced, col);
+            self.pivot(row, col, above);
+            self.eliminate_reduced(reduced, col);
         }
     }
 }
 
 /// Builds the initial narrow tableau of a standard form (iteration budget
-/// and cancel token still unset) together with its inverse-column map.
+/// and cancel token still unset, every nonbasic column at zero) together
+/// with its inverse-column map.
 fn build_tableau(std_form: &StandardForm) -> (Tableau, InverseColumns) {
     let m = std_form.rows.len();
     let n = std_form.num_vars;
@@ -695,11 +892,15 @@ fn build_tableau(std_form: &StandardForm) -> (Tableau, InverseColumns) {
         };
     }
 
+    let mut upper = std_form.upper.clone();
+    upper.resize(artificial_base, f64::INFINITY);
     let tableau = Tableau {
         data,
         width,
         basis,
         artificial_base,
+        upper,
+        at_upper: vec![false; artificial_base],
         pivot_row: vec![0.0; width],
         iterations: 0,
         budget: 0,
@@ -711,30 +912,49 @@ fn build_tableau(std_form: &StandardForm) -> (Tableau, InverseColumns) {
 /// Verifies a dual-simplex infeasibility declaration against the
 /// **un-drifted** problem data. The triggering tableau row is a linear
 /// combination `w` of the original standard-form equations (recovered from
-/// the implicit inverse columns and the build-time row signs); for any
-/// feasible `z ≥ 0` it implies `(w·A)·z = w·b` exactly, because `A` and `b`
-/// are recomputed from the live constraints rather than read from the
-/// (possibly drifted) tableau. If every recomputed column coefficient is
-/// non-negative while `w·b` is negative, no non-negative `z` can satisfy the
-/// system — a Farkas certificate that holds no matter how degraded the
-/// tableau's numerics are. A failed check means the declaration was an
-/// artefact of drift and the caller must fall back to a cold solve.
+/// the implicit inverse columns and the build-time row signs, and negated
+/// when the row's basic variable was `above` its upper bound); for any
+/// feasible `z` it implies `(w·A)·z = w·b` exactly, because `A`, `b` and the
+/// upper bounds `u` are recomputed from the live constraints rather than
+/// read from the (possibly drifted) tableau. If even the smallest value of
+/// `(w·A)·z` over the box `0 ≤ z ≤ u` exceeds `w·b`, no `z` in the box can
+/// satisfy the system — a Farkas certificate that holds no matter how
+/// degraded the tableau's numerics are. A column with `u = ∞` must have a
+/// non-negative coefficient (within the tolerance). A failed check means
+/// the declaration was an artefact of drift and the caller must fall back
+/// to a cold solve.
 fn certify_infeasible_row(
     lp: &LinearProgram,
     mapping: &[VarMap],
     tableau_row: &[f64],
     inverse: &InverseColumns,
-    n: usize,
-    artificial_base: usize,
+    above: bool,
+    upper: &[f64],
     b: &[f64],
 ) -> bool {
-    let w = inverse.row_weights(tableau_row);
+    let mut w = inverse.row_weights(tableau_row);
+    if above {
+        for weight in &mut w {
+            *weight = -*weight;
+        }
+    }
 
-    // v = w · A, recomputed sparsely from the live constraints.
-    let mut v = vec![0.0; artificial_base];
-    let mut slack_cursor = n;
-    for (row, constraint) in lp.constraints.iter().enumerate() {
-        let weight = w[row];
+    let scale = 1.0 + w.iter().fold(0.0f64, |acc, x| acc.max(x.abs()));
+    let tol = 1e-8 * scale;
+
+    // v = w · A over the structural columns, recomputed sparsely from the
+    // live constraints. A slack column is `±e_k` with `u = ∞`, so its
+    // coefficient `±w_k` must be non-negative on its own.
+    let mut v = vec![0.0; upper.len()];
+    for (constraint, &weight) in lp.constraints.iter().zip(&w) {
+        let slack = match constraint.op {
+            ConstraintOp::Le => weight,
+            ConstraintOp::Ge => -weight,
+            ConstraintOp::Eq => 0.0,
+        };
+        if slack < -tol {
+            return false;
+        }
         if weight != 0.0 {
             for (var, coeff) in &constraint.coeffs {
                 match mapping[*var] {
@@ -747,44 +967,30 @@ fn certify_infeasible_row(
                 }
             }
         }
-        match constraint.op {
-            ConstraintOp::Le => {
-                v[slack_cursor] += weight;
-                slack_cursor += 1;
-            }
-            ConstraintOp::Ge => {
-                v[slack_cursor] -= weight;
-                slack_cursor += 1;
-            }
-            ConstraintOp::Eq => {}
-        }
-    }
-    // Bound rows (`z_idx ≤ hi − lo`, slack +1), in variable order after the
-    // constraint rows.
-    let mut bound_row = lp.constraints.len();
-    for (i, map) in mapping.iter().enumerate() {
-        if let VarMap::Shifted { idx, .. } = map {
-            if lp.upper[i].is_finite() {
-                let weight = w[bound_row];
-                if weight != 0.0 {
-                    v[*idx] += weight;
-                    v[slack_cursor] += weight;
-                }
-                slack_cursor += 1;
-                bound_row += 1;
-            }
-        }
     }
 
-    let scale = 1.0 + w.iter().fold(0.0f64, |acc, x| acc.max(x.abs()));
-    let tol = 1e-8 * scale;
-    let rhs_dot: f64 = w.iter().zip(b.iter()).map(|(wk, bk)| wk * bk).sum();
-    rhs_dot < -tol && v.iter().all(|&coeff| coeff >= -tol)
+    // min over 0 ≤ z ≤ u of v·z: a negative coefficient takes its upper
+    // bound, which must then be finite.
+    let mut box_min = 0.0;
+    for (&coeff, &u) in v.iter().zip(upper) {
+        if coeff < 0.0 {
+            if u < f64::INFINITY {
+                box_min += coeff * u;
+            } else if coeff < -tol {
+                return false;
+            }
+        }
+    }
+    let rhs_dot: f64 = w.iter().zip(b).map(|(wk, bk)| wk * bk).sum();
+    rhs_dot < box_min - tol
 }
 
-/// Maps standard-variable values back to the user variables.
+/// Maps standard-variable values (basic values from the value column,
+/// nonbasic columns at their flagged bound) back to the user variables.
 fn extract_values(lp: &LinearProgram, mapping: &[VarMap], tableau: &Tableau) -> Vec<f64> {
-    let mut z = vec![0.0; tableau.artificial_base];
+    let mut z: Vec<f64> = (0..tableau.artificial_base)
+        .map(|j| tableau.nonbasic_value(j))
+        .collect();
     for (row, &basic) in tableau.basis.iter().enumerate() {
         if basic < tableau.artificial_base {
             z[basic] = tableau.rhs(row);
@@ -811,11 +1017,11 @@ fn user_objective(lp: &LinearProgram, optimum: f64, offset: f64) -> f64 {
     }
 }
 
-/// Pivot budget of one solve: the caller's limit, or a default that counts
-/// every structural, slack and (logical) artificial variable plus the rows.
-fn iteration_budget(lp: &LinearProgram, artificial_base: usize, rows: usize) -> usize {
+/// Pivot budget of one solve: the caller's limit, or the program's
+/// [`LinearProgram::estimated_iteration_budget`].
+fn iteration_budget(lp: &LinearProgram) -> usize {
     lp.max_iterations
-        .unwrap_or(50_000 + 200 * (artificial_base + 2 * rows))
+        .unwrap_or_else(|| lp.estimated_iteration_budget())
 }
 
 /// Solves a [`LinearProgram`] with the two-phase primal simplex method and,
@@ -862,7 +1068,7 @@ fn solve_cold(
     let std_form = standardize(lp);
     let (mut tableau, inverse) = build_tableau(&std_form);
     let artificial_base = tableau.artificial_base;
-    tableau.budget = iteration_budget(lp, artificial_base, tableau.rows());
+    tableau.budget = iteration_budget(lp);
     tableau.cancel = cancel.cloned();
     let stopped = |status: LpStatus, tableau: &Tableau| {
         let mut solution = LpSolution::non_optimal(status);
@@ -892,7 +1098,7 @@ fn solve_cold(
             if tableau.basis[row] >= artificial_base {
                 let pivot_col = (0..artificial_base).find(|&j| tableau.at(row, j).abs() > 1e-7);
                 if let Some(col) = pivot_col {
-                    tableau.pivot(row, col);
+                    tableau.pivot(row, col, false);
                 }
             }
         }
@@ -921,6 +1127,7 @@ fn solve_cold(
         data: tableau.data,
         width: tableau.width,
         basis: tableau.basis,
+        at_upper: tableau.at_upper,
         inverse,
         n: std_form.num_vars,
         artificial_base,
@@ -945,14 +1152,14 @@ pub(crate) fn solve(lp: &LinearProgram, cancel: Option<&CancelToken>) -> LpSolut
     solve_cold(lp, false, cancel).0
 }
 
-/// Pushes a new standard-form rhs `b` through the accumulated row
-/// operations: row `r`'s rhs becomes `Σ_k B⁻¹[r][k] · sign_k · b_k`.
-fn refresh_rhs(snapshot: &mut BasisSnapshot, b: &[f64]) {
-    let width = snapshot.width;
-    let inverse = &snapshot.inverse;
-    for row in snapshot.data.chunks_exact_mut(width) {
+/// Recomputes every basic value from the live data: row `r`'s value becomes
+/// `Σ_k B⁻¹[r][k] · sign_k · b̃_k`, where `b̃ = b − Σ_{j at upper} A_j·u_j`
+/// is the standard-form rhs with the at-upper columns moved across.
+fn refresh_rhs(tableau: &mut Tableau, inverse: &InverseColumns, shifted_b: &[f64]) {
+    let width = tableau.width;
+    for row in tableau.data.chunks_exact_mut(width) {
         let mut value = 0.0;
-        for (k, (b_k, sign)) in b.iter().zip(inverse.signs.iter()).enumerate() {
+        for (k, (b_k, sign)) in shifted_b.iter().zip(inverse.signs.iter()).enumerate() {
             let g = inverse.entry(row, k);
             if g != 0.0 {
                 value += g * sign * b_k;
@@ -975,67 +1182,70 @@ pub(crate) fn solve_from_basis(
         return None;
     }
     let (mapping, num_vars) = build_mapping(lp);
-    if num_vars != snapshot.n {
+    if num_vars != snapshot.n || lp.constraints.len() != snapshot.basis.len() {
         return None;
     }
     let (cost, offset) = standard_cost(lp, &mapping, num_vars);
     if fingerprint(lp, &cost) != snapshot.structure {
         return None;
     }
+    let upper = standard_upper(lp, &mapping, snapshot.artificial_base);
 
-    // Refresh the rhs column: new standard-form b, pushed through the
-    // accumulated row operations held in the inverse columns.
-    let b = standard_rhs(lp, &mapping);
-    let m = snapshot.basis.len();
-    if b.len() != m {
-        return None;
-    }
-    refresh_rhs(snapshot, &b);
+    let mut tableau = Tableau {
+        data: std::mem::take(&mut snapshot.data),
+        width: snapshot.width,
+        basis: std::mem::take(&mut snapshot.basis),
+        artificial_base: snapshot.artificial_base,
+        upper,
+        at_upper: std::mem::take(&mut snapshot.at_upper),
+        pivot_row: vec![0.0; snapshot.width],
+        iterations: 0,
+        budget: iteration_budget(lp),
+        cancel: cancel.cloned(),
+    };
+    let restore = |snapshot: &mut BasisSnapshot, tableau: Tableau| {
+        snapshot.data = tableau.data;
+        snapshot.basis = tableau.basis;
+        snapshot.at_upper = tableau.at_upper;
+    };
+
+    // The reduced costs depend on (A, c) only, so they survive the bound
+    // edit; each nonbasic boxed column goes to the bound they prefer, and
+    // the basic values are recomputed for the new bounds and rhs.
+    let mut reduced = tableau.reduced_costs(&cost, 0.0);
+    tableau.align_bounds_with(&reduced);
+    let shifted_b = standard_rhs(lp, &mapping, Some(&tableau.at_upper));
+    refresh_rhs(&mut tableau, &snapshot.inverse, &shifted_b);
 
     // A basic artificial (redundant row in the parent) must stay at level
     // zero under the new rhs; otherwise the rows have become inconsistent in
     // a way only a cold phase 1 can sort out.
-    let width = snapshot.width;
-    for (row, &basic) in snapshot.basis.iter().enumerate() {
-        if basic >= snapshot.artificial_base && snapshot.data[(row + 1) * width - 1].abs() > 1e-7 {
+    for (row, &basic) in tableau.basis.iter().enumerate() {
+        if basic >= tableau.artificial_base && tableau.rhs(row).abs() > 1e-7 {
             return None;
         }
     }
 
-    let mut tableau = Tableau {
-        data: std::mem::take(&mut snapshot.data),
-        width,
-        basis: std::mem::take(&mut snapshot.basis),
-        artificial_base: snapshot.artificial_base,
-        pivot_row: vec![0.0; width],
-        iterations: 0,
-        budget: iteration_budget(lp, snapshot.artificial_base, m),
-        cancel: cancel.cloned(),
-    };
-
     // Dual simplex repairs primal feasibility from the (still dual-feasible)
     // parent basis, then a primal clean-up pass polishes any reduced-cost
     // noise left by the refresh.
-    let restore = |snapshot: &mut BasisSnapshot, tableau: Tableau| {
-        snapshot.data = tableau.data;
-        snapshot.basis = tableau.basis;
-    };
-    match tableau.dual_optimize(&cost) {
+    match tableau.dual_optimize(&mut reduced) {
         DualOutcome::Feasible => {}
-        DualOutcome::Infeasible { row } => {
+        DualOutcome::Infeasible { row, above } => {
             // Dual unbounded ⇔ primal infeasible — but only accept the
             // verdict when the triggering row still certifies it against
             // the un-drifted constraint data. Branch-and-bound *prunes* on
             // Infeasible, so a drift artefact here would silently cut off
             // feasible subtrees; a failed certificate bails to a cold solve
             // instead.
+            let b = standard_rhs(lp, &mapping, None);
             if !certify_infeasible_row(
                 lp,
                 &mapping,
                 tableau.row(row),
                 &snapshot.inverse,
-                num_vars,
-                snapshot.artificial_base,
+                above,
+                &tableau.upper[..num_vars],
                 &b,
             ) {
                 return None;
@@ -1366,7 +1576,7 @@ mod tests {
 
     /// A program with every standard-form row kind: `≤`, `≥`, `=`, rows
     /// negated for a negative rhs (one `≤`, one `≥`), a free variable, a
-    /// mirrored variable and the bound rows of boxed variables.
+    /// mirrored variable and boxed variables.
     fn every_row_kind() -> LinearProgram {
         let mut lp = LinearProgram::new();
         let x = lp.add_variable(-1.0, 3.0);
@@ -1403,11 +1613,18 @@ mod tests {
         for (r, row) in snapshot.data.chunks_exact(width).enumerate() {
             let w = snapshot.inverse.row_weights(row);
             for &j in &columns {
-                let rebuilt: f64 = w
+                let mut rebuilt: f64 = w
                     .iter()
                     .enumerate()
                     .map(|(k, wk)| wk * original(k, j))
                     .sum();
+                if j == width - 1 {
+                    // The value column is W·(b − Σ_{j at upper} A_j·u_j).
+                    rebuilt -= (0..snapshot.artificial_base)
+                        .filter(|&c| snapshot.at_upper[c])
+                        .map(|c| initial.upper[c] * row[c])
+                        .sum::<f64>();
+                }
                 assert!(
                     (rebuilt - row[j]).abs() < 1e-9,
                     "T[{r}][{j}] = {} but W·A gives {rebuilt}",
@@ -1452,29 +1669,49 @@ mod tests {
         assert_inverse_rebuilds_tableau(&lp, &snapshot);
     }
 
+    /// What the certificate of one warm infeasibility is checked with: the
+    /// declaring tableau row, whether its basic value was above its upper
+    /// bound, the variable mapping, the structural upper bounds and the
+    /// standard-form rhs.
+    struct FarkasRow {
+        row: Vec<f64>,
+        above: bool,
+        mapping: Vec<VarMap>,
+        upper: Vec<f64>,
+        b: Vec<f64>,
+    }
+
     /// Drives `lp`'s warm path up to the dual simplex from `snapshot` and
     /// returns the row it declared infeasible, with the data the
     /// certificate is checked against.
-    fn warm_infeasible_row(
-        lp: &LinearProgram,
-        snapshot: &mut BasisSnapshot,
-    ) -> (Vec<f64>, Vec<VarMap>, Vec<f64>) {
+    fn warm_infeasible_row(lp: &LinearProgram, snapshot: &BasisSnapshot) -> FarkasRow {
         let (mapping, num_vars) = build_mapping(lp);
         let (cost, _) = standard_cost(lp, &mapping, num_vars);
-        let b = standard_rhs(lp, &mapping);
-        refresh_rhs(snapshot, &b);
+        let upper = standard_upper(lp, &mapping, snapshot.artificial_base);
         let mut tableau = Tableau {
             data: snapshot.data.clone(),
             width: snapshot.width,
             basis: snapshot.basis.clone(),
             artificial_base: snapshot.artificial_base,
+            upper,
+            at_upper: snapshot.at_upper.clone(),
             pivot_row: vec![0.0; snapshot.width],
             iterations: 0,
             budget: 1000,
             cancel: None,
         };
-        match tableau.dual_optimize(&cost) {
-            DualOutcome::Infeasible { row } => (tableau.row(row).to_vec(), mapping, b),
+        let mut reduced = tableau.reduced_costs(&cost, 0.0);
+        tableau.align_bounds_with(&reduced);
+        let shifted_b = standard_rhs(lp, &mapping, Some(&tableau.at_upper));
+        refresh_rhs(&mut tableau, &snapshot.inverse, &shifted_b);
+        match tableau.dual_optimize(&mut reduced) {
+            DualOutcome::Infeasible { row, above } => FarkasRow {
+                row: tableau.row(row).to_vec(),
+                above,
+                upper: tableau.upper[..num_vars].to_vec(),
+                b: standard_rhs(lp, &mapping, None),
+                mapping,
+            },
             _ => panic!("expected the dual simplex to declare infeasibility"),
         }
     }
@@ -1499,22 +1736,23 @@ mod tests {
             lp.set_bounds(x, 0.0, 1.0);
             lp.set_bounds(y, 0.0, 1.0);
 
-            let (row, mapping, b) = warm_infeasible_row(&lp, &mut snapshot);
+            let farkas = warm_infeasible_row(&lp, &snapshot);
             let certify = |row: &[f64]| {
                 certify_infeasible_row(
                     &lp,
-                    &mapping,
+                    &farkas.mapping,
                     row,
                     &snapshot.inverse,
-                    snapshot.n,
-                    snapshot.artificial_base,
-                    &b,
+                    farkas.above,
+                    &farkas.upper,
+                    &farkas.b,
                 )
             };
-            assert!(certify(&row), "{op:?}: a true Farkas row must certify");
+            let row = &farkas.row;
+            assert!(certify(row), "{op:?}: a true Farkas row must certify");
 
-            // Dropping the constraint's multiplier leaves only bound rows,
-            // which cannot prove infeasibility.
+            // Dropping the constraint's multiplier leaves `w = 0`, which
+            // cannot prove infeasibility.
             let mut perturbed = row.clone();
             perturbed[snapshot.inverse.cols[0].0] = 0.0;
             assert!(!certify(&perturbed), "{op:?}: perturbed row certified");
@@ -1525,6 +1763,121 @@ mod tests {
             // The full warm path agrees and keeps the snapshot usable.
             let warm = lp.solve_from_basis(&mut snapshot).expect("certified");
             assert_eq!(warm.status, LpStatus::Infeasible);
+        }
+    }
+
+    #[test]
+    fn boxed_variables_add_no_tableau_rows() {
+        let lp = every_row_kind();
+        let (_, snapshot) = lp.solve_with_snapshot();
+        let snapshot = snapshot.expect("optimal solve yields a snapshot");
+        assert_eq!(snapshot.basis.len(), lp.num_constraints());
+        assert_eq!(snapshot.data.len(), lp.num_constraints() * snapshot.width);
+    }
+
+    #[test]
+    fn default_budget_is_the_estimated_budget() {
+        let mut lp = every_row_kind();
+        let (default, snapshot) = lp.solve_with_snapshot();
+        let mut snapshot = snapshot.expect("snapshot");
+        lp.set_iteration_limit(Some(lp.estimated_iteration_budget()));
+        assert_eq!(lp.solve(), default);
+
+        // The warm path draws on the same budget.
+        lp.set_bounds(1, 1.0, 1.5);
+        let mut explicit_snapshot = snapshot.clone();
+        let explicit = lp.solve_from_basis(&mut explicit_snapshot);
+        lp.set_iteration_limit(None);
+        assert_eq!(lp.solve_from_basis(&mut snapshot), explicit);
+    }
+
+    /// Three warm infeasibilities whose only proof goes through upper
+    /// bounds, with the edit that makes each infeasible and whether the
+    /// dual's row ends above its basic variable's upper bound.
+    fn upper_bound_refutations() -> Vec<(LinearProgram, LinearProgram, bool)> {
+        let mut cases = Vec::new();
+        // x + y ≥ 3 on [0, 5]², then on [0, 1]².
+        let mut lp = LinearProgram::new();
+        let x = lp.add_variable(0.0, 5.0);
+        let y = lp.add_variable(0.0, 5.0);
+        lp.add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0);
+        let mut edited = lp.clone();
+        edited.set_bounds(x, 0.0, 1.0);
+        edited.set_bounds(y, 0.0, 1.0);
+        cases.push((lp, edited, true));
+        // x − y = 3 on [0, 5]², then x ≤ 2.
+        let mut lp = LinearProgram::new();
+        let x = lp.add_variable(0.0, 5.0);
+        let y = lp.add_variable(0.0, 5.0);
+        lp.add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Eq, 3.0);
+        let mut edited = lp.clone();
+        edited.set_bounds(x, 0.0, 2.0);
+        cases.push((lp, edited, true));
+        // max x s.t. x ≤ y, y ∈ [0, 1] (optimum with y at its upper
+        // bound), then x ≥ 2.
+        let mut lp = LinearProgram::new();
+        let x = lp.add_variable(0.0, 10.0);
+        let y = lp.add_variable(0.0, 1.0);
+        lp.set_objective(&[(x, 1.0)], true);
+        lp.add_constraint(&[(x, 1.0), (y, -1.0)], ConstraintOp::Le, 0.0);
+        let mut edited = lp.clone();
+        edited.set_bounds(x, 2.0, 10.0);
+        cases.push((lp, edited, false));
+        cases
+    }
+
+    #[test]
+    fn certificate_uses_upper_bounds_and_rejects_perturbed_rows() {
+        for (case, (lp, edited, above)) in upper_bound_refutations().into_iter().enumerate() {
+            let (cold, snapshot) = lp.solve_with_snapshot();
+            assert_eq!(cold.status, LpStatus::Optimal);
+            let snapshot = snapshot.expect("snapshot");
+            let farkas = warm_infeasible_row(&edited, &snapshot);
+            assert_eq!(farkas.above, above, "case {case}: leaving direction");
+            let certify = |row: &[f64], above: bool, upper: &[f64]| {
+                certify_infeasible_row(
+                    &edited,
+                    &farkas.mapping,
+                    row,
+                    &snapshot.inverse,
+                    above,
+                    upper,
+                    &farkas.b,
+                )
+            };
+            let row = &farkas.row;
+            assert!(
+                certify(row, above, &farkas.upper),
+                "case {case}: a true Farkas row must certify"
+            );
+            // Without the upper bounds (z ≥ 0 only) the row proves nothing.
+            let unbounded = vec![f64::INFINITY; farkas.upper.len()];
+            assert!(
+                !certify(row, above, &unbounded),
+                "case {case}: certified without upper bounds"
+            );
+            // Wider boxes make the program feasible again, so the same row
+            // must stop certifying: a check that dropped the `u` term would
+            // still accept it.
+            let wider: Vec<f64> = farkas.upper.iter().map(|u| 2.0 * u).collect();
+            assert!(
+                !certify(row, above, &wider),
+                "case {case}: certified against wider bounds"
+            );
+            // Perturbed rows: the constraint's multiplier dropped, the row
+            // negated, and the leaving direction flipped.
+            let mut perturbed = row.clone();
+            perturbed[snapshot.inverse.cols[0].0] = 0.0;
+            assert!(!certify(&perturbed, above, &farkas.upper), "case {case}");
+            let negated: Vec<f64> = row.iter().map(|v| -v).collect();
+            assert!(!certify(&negated, above, &farkas.upper), "case {case}");
+            assert!(!certify(row, !above, &farkas.upper), "case {case}");
+
+            // The full warm path agrees with a cold solve.
+            let mut snapshot = snapshot.clone();
+            let warm = edited.solve_from_basis(&mut snapshot).expect("certified");
+            assert_eq!(warm.status, LpStatus::Infeasible);
+            assert_eq!(edited.solve().status, LpStatus::Infeasible);
         }
     }
 }

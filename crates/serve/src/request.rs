@@ -144,15 +144,23 @@ fn check_region(region: &StartRegion) -> Result<(), ServeError> {
 }
 
 impl VerificationRequest {
-    /// Admission checks on the caller-supplied numbers that encoding and
-    /// solving assume: every region bound finite with `lower ≤ upper`,
-    /// every risk threshold and coefficient finite, and a region as wide as
-    /// the cut layer. Costs one pass over the regions and risks; the
+    /// Admission checks on the caller-supplied shapes and numbers that
+    /// encoding and solving assume: at least one risk condition, every
+    /// risk threshold and coefficient finite, a cut layer inside the
+    /// network, a characterizer attached at that layer and as wide as it,
+    /// every region bound finite with `lower ≤ upper`, and a region as wide
+    /// as the cut layer. Costs one pass over the regions and risks; the
     /// network weights are not walked.
     ///
     /// # Errors
     /// [`ServeError::InvalidRequest`] naming the field at fault.
     pub fn validate(&self) -> Result<(), ServeError> {
+        if self.risks.is_empty() {
+            return Err(invalid(
+                "risks",
+                "a verification request needs at least one risk condition".into(),
+            ));
+        }
         for risk in &self.risks {
             for inequality in risk.inequalities() {
                 if !inequality.rhs.is_finite() {
@@ -173,9 +181,37 @@ impl VerificationRequest {
                 }
             }
         }
-        // An out-of-range cut is reported by decomposition, as before.
-        let cut_width = (self.cut_layer < self.perception.len())
-            .then(|| self.perception.layer_output_dim(self.cut_layer));
+        if self.cut_layer >= self.perception.len() {
+            return Err(invalid(
+                "cut_layer",
+                format!(
+                    "cut layer {} is out of range for a {}-layer network",
+                    self.cut_layer,
+                    self.perception.len()
+                ),
+            ));
+        }
+        let cut_width = self.perception.layer_output_dim(self.cut_layer);
+        if self.characterizer.cut_layer() != self.cut_layer {
+            return Err(invalid(
+                "characterizer",
+                format!(
+                    "characterizer is attached at layer {} but the request cuts at {}",
+                    self.characterizer.cut_layer(),
+                    self.cut_layer
+                ),
+            ));
+        }
+        if self.characterizer.feature_dim() != cut_width {
+            return Err(invalid(
+                "characterizer",
+                format!(
+                    "characterizer expects {} features but cut layer {} has width {cut_width}",
+                    self.characterizer.feature_dim(),
+                    self.cut_layer
+                ),
+            ));
+        }
         let region_dim = match &self.region {
             RegionSpec::Single(region) => {
                 check_region(region)?;
@@ -189,16 +225,16 @@ impl VerificationRequest {
                 envelope.dim()
             }
         };
-        match cut_width {
-            Some(width) if width != region_dim => Err(invalid(
+        if region_dim != cut_width {
+            return Err(invalid(
                 "region",
                 format!(
-                    "region has dimension {region_dim} but cut layer {} has width {width}",
+                    "region has dimension {region_dim} but cut layer {} has width {cut_width}",
                     self.cut_layer
                 ),
-            )),
-            _ => Ok(()),
+            ));
         }
+        Ok(())
     }
 
     /// The shard roots of the request, in shard-index order.
@@ -217,11 +253,6 @@ impl VerificationRequest {
     /// order: family-major, then shard, then sub-box. Obligation indices
     /// are assigned in exactly this order, which is also the fold order.
     pub(crate) fn decompose(&self) -> Result<Vec<ObligationGroup>, CoreError> {
-        if self.risks.is_empty() {
-            return Err(CoreError::Inconsistent(
-                "a verification request needs at least one risk condition".into(),
-            ));
-        }
         let mut groups = Vec::new();
         let mut index = 0usize;
         for (family, risk) in self.risks.iter().enumerate() {

@@ -83,12 +83,15 @@ pub enum ServeError {
     Core(CoreError),
     /// The request decomposed into zero obligations.
     EmptyRequest,
-    /// A caller-supplied number is unusable: a non-finite or inverted
-    /// region bound, a non-finite risk threshold or coefficient, or a
-    /// region whose width does not match the cut layer. Raised at
-    /// admission, before any obligation is encoded or solved.
+    /// A caller-supplied shape or number is unusable: no risk condition, a
+    /// non-finite risk threshold or coefficient, an out-of-range cut
+    /// layer, a characterizer attached elsewhere or of the wrong width, a
+    /// non-finite or inverted region bound, or a region whose width does
+    /// not match the cut layer. Raised at admission, before any obligation
+    /// is encoded or solved.
     InvalidRequest {
-        /// The request field at fault (`"region"` or `"risks"`).
+        /// The request field at fault (`"risks"`, `"cut_layer"`,
+        /// `"characterizer"` or `"region"`).
         field: &'static str,
         /// What is wrong with it.
         reason: String,
@@ -441,7 +444,7 @@ impl ObligationServer {
     /// [`ServeError::InvalidRequest`] when [`VerificationRequest::validate`]
     /// rejects the request; [`ServeError::Core`] when decomposition or
     /// encoding fails; [`ServeError::EmptyRequest`] when the request holds
-    /// no risk conditions or regions.
+    /// no regions.
     pub fn serve(&self, request: &VerificationRequest) -> Result<RequestReport, ServeError> {
         self.serve_with_prefill(request, &[])
     }

@@ -162,3 +162,45 @@ fn serve_delta_validates_both_requests() {
         .unwrap();
     assert_eq!(delta.report.verdicts, prior.verdicts);
 }
+
+#[test]
+fn empty_risk_list_is_rejected_at_admission() {
+    // Previously an `EmptyRequest`-style `Core` error from decomposition.
+    let server = server();
+    let mut request = healthy_request();
+    request.risks.clear();
+    assert_rejected_then_healthy(&server, &request, "risks");
+}
+
+#[test]
+fn out_of_range_cut_layer_is_rejected_at_admission() {
+    // Previously `Core(Inconsistent)` from problem construction.
+    let server = server();
+    let layers = perception().len();
+    for cut_layer in [layers, layers + 3, usize::MAX] {
+        let request = VerificationRequest {
+            cut_layer,
+            ..healthy_request()
+        };
+        assert_rejected_then_healthy(&server, &request, "cut_layer");
+    }
+}
+
+#[test]
+fn characterizer_of_the_wrong_width_is_rejected_at_admission() {
+    // Previously `Core(Inconsistent)` from problem construction.
+    let server = server();
+    let mut rng = StdRng::seed_from_u64(5);
+    let head = NetworkBuilder::new(CUT_WIDTH + 1)
+        .dense(2, &mut rng)
+        .activation(Activation::ReLU)
+        .dense(1, &mut rng)
+        .build();
+    let wide =
+        Characterizer::from_network(InputProperty::new("p", "too wide"), CUT, head, 0.9).unwrap();
+    let request = VerificationRequest {
+        characterizer: wide,
+        ..healthy_request()
+    };
+    assert_rejected_then_healthy(&server, &request, "characterizer");
+}
