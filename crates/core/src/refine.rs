@@ -30,12 +30,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dpv_absint::{AbstractDomain, BoxDomain, Interval};
-use dpv_lp::{default_backend, MilpSolution, SolveStats, SolverBackend};
+use dpv_lp::{default_backend, MilpOptions, MilpSolution, SolveStats, SolverBackend};
 use dpv_tensor::Vector;
 
 use crate::{
-    CoreError, CounterExample, EncodedProblem, ProblemTemplate, RegionBounds, StartRegion, Verdict,
-    VerificationProblem,
+    CoreError, CounterExample, EncodedProblem, ProblemTemplate, RegionBounds, SolveOptions,
+    StartRegion, Verdict, VerificationProblem,
 };
 
 /// Outcome of a refinement run.
@@ -474,7 +474,7 @@ enum BoxOutcome {
 
 /// Solves one sub-box, through the skeleton template when one is available
 /// (falling back to one-shot encoding inside
-/// [`VerificationProblem::run_solver_with_template`] for uncovered regions).
+/// [`VerificationProblem::solve_with_template`] for uncovered regions).
 fn solve_box(
     problem: &VerificationProblem,
     template: Option<&ProblemTemplate>,
@@ -485,11 +485,16 @@ fn solve_box(
 ) -> Result<(Verdict, MilpSolution), CoreError> {
     let region = StartRegion::Box(current.clone());
     match template {
-        Some(template) => {
-            problem.run_solver_with_template(template, &region, bounds, scratch, backend)
-        }
+        Some(template) => problem.solve_with_template(
+            template,
+            &region,
+            &mut SolveOptions::new()
+                .bounds(bounds)
+                .scratch(scratch)
+                .backend(backend),
+        ),
         None => problem
-            .run_solver(&region, backend)
+            .run_solver(&region, backend, None, &mut MilpOptions::default())
             .map(|(verdict, _, solution)| (verdict, solution)),
     }
 }

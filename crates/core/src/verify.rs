@@ -6,7 +6,8 @@ use std::time::Instant;
 
 use dpv_absint::{AbstractDomain, BoxDomain, Zonotope};
 use dpv_lp::{
-    default_backend, BasisSnapshot, CancelToken, MilpSolution, MilpStatus, SolverBackend,
+    default_backend, BasisSnapshot, CancelToken, MilpOptions, MilpSolution, MilpStatus,
+    SolverBackend,
 };
 use dpv_monitor::ActivationEnvelope;
 use dpv_nn::Network;
@@ -235,9 +236,8 @@ impl ProblemTemplate {
 pub struct SolveOptions<'a> {
     bounds: Option<&'a RegionBounds>,
     scratch: Option<&'a mut Option<EncodedProblem>>,
-    seed: Option<&'a mut Option<BasisSnapshot>>,
-    cancel: Option<&'a CancelToken>,
-    tracer: Option<&'a TraceHandle>,
+    /// The seed, token and tracer, handed to the backend as they are.
+    milp: MilpOptions<'a>,
     escalation: Option<usize>,
     backend: Option<&'a dyn SolverBackend>,
 }
@@ -266,20 +266,20 @@ impl<'a> SolveOptions<'a> {
 
     /// Warm-starts from (and hands the final basis back to) `seed`.
     pub fn seed(mut self, seed: &'a mut Option<BasisSnapshot>) -> Self {
-        self.seed = Some(seed);
+        self.milp.seed = Some(seed);
         self
     }
 
     /// Polls `cancel` inside the solver loops. Accepts `&CancelToken` or
     /// `Option<&CancelToken>` (`None` keeps the default).
     pub fn cancel(mut self, cancel: impl Into<Option<&'a CancelToken>>) -> Self {
-        self.cancel = cancel.into();
+        self.milp.cancel = cancel.into();
         self
     }
 
     /// Records the instantiation span and per-node telemetry on `tracer`.
     pub fn tracer(mut self, tracer: &'a TraceHandle) -> Self {
-        self.tracer = Some(tracer);
+        self.milp.trace = Some(tracer);
         self
     }
 
@@ -481,37 +481,33 @@ impl VerificationProblem {
     }
 
     /// Encodes the problem over `region` and hands the MILP to `backend`,
-    /// translating the solver status into a [`Verdict`]. This is the single
-    /// solve entry point every strategy (Lemma 1, Lemma 2, assume-guarantee)
-    /// and the refinement loop go through.
+    /// translating the solver status into a [`Verdict`]: the one-shot solve
+    /// every strategy (Lemma 1, Lemma 2, assume-guarantee), the refinement
+    /// loop without a template and the template fallback go through. An
+    /// `escalation` scale raises both search budgets of the fresh encoding.
+    /// A tripped token in `options` surfaces as [`MilpStatus::Cancelled`] →
+    /// [`Verdict::Unknown`], never as a wrong verdict.
     pub(crate) fn run_solver(
         &self,
         region: &StartRegion,
         backend: &dyn SolverBackend,
-    ) -> Result<(Verdict, EncodedProblem, MilpSolution), CoreError> {
-        self.run_solver_cancellable(region, backend, None)
-    }
-
-    /// [`VerificationProblem::run_solver`] polling a [`CancelToken`]: a
-    /// tripped token surfaces as [`MilpStatus::Cancelled`] →
-    /// [`Verdict::Unknown`], never as a wrong verdict.
-    pub(crate) fn run_solver_cancellable(
-        &self,
-        region: &StartRegion,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
+        escalation: Option<usize>,
+        options: &mut MilpOptions<'_>,
     ) -> Result<(Verdict, EncodedProblem, MilpSolution), CoreError> {
         let (_, tail) = self
             .perception
             .split_at(self.cut_layer)
             .map_err(|e| CoreError::Inconsistent(e.to_string()))?;
-        let encoded = encode_verification(
+        let mut encoded = encode_verification(
             tail.layers(),
             Some(self.characterizer.network()),
             &self.risk,
             region,
         )?;
-        let solution = backend.solve_cancellable(&encoded.milp, &mut None, cancel);
+        if let Some(scale) = escalation {
+            raise_budgets(&mut encoded.milp, scale);
+        }
+        let solution = backend.solve_with(&encoded.milp, options);
         let verdict = self.interpret_solution(&encoded, &solution, &tail, backend);
         Ok((verdict, encoded, solution))
     }
@@ -580,42 +576,13 @@ impl VerificationProblem {
         )
     }
 
-    /// [`VerificationProblem::run_solver`] through a [`ProblemTemplate`]:
-    /// the skeleton is re-tightened into `scratch` (allocated on first use,
-    /// reused afterwards) instead of re-encoding the whole MILP. Falls back
-    /// to one-shot encoding when the template does not support `region`.
-    ///
-    /// When `bounds` is given (one lane of a batched
-    /// [`crate::EncodingTemplate::region_bounds_batch`] propagation), the
-    /// propagate half is skipped and the precomputed bounds are applied
-    /// directly — the instantiated problem is identical either way.
-    pub(crate) fn run_solver_with_template(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        backend: &dyn SolverBackend,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        self.solve_template_impl(
-            template,
-            region,
-            bounds,
-            scratch,
-            &mut None,
-            backend,
-            None,
-            &TraceHandle::disabled(),
-        )
-    }
-
     /// Solves one obligation (`region` under `template`) with every reuse
     /// and control lever selected through [`SolveOptions`]: the skeleton is
     /// re-tightened into the options' scratch slot instead of re-encoded,
     /// precomputed bounds (one lane of a batched
     /// [`crate::EncodingTemplate::region_bounds_batch`] sweep) skip the
     /// propagate half, a seed primes the backend's warm-start state
-    /// ([`SolverBackend::solve_seeded`]) and receives the final basis back —
+    /// ([`SolverBackend::solve_with`]) and receives the final basis back —
     /// the cross-request seam the obligation server's snapshot pool plugs
     /// into — a [`CancelToken`] is polled inside the solver loops, a
     /// [`TraceHandle`] records the instantiation span and per-node
@@ -629,7 +596,10 @@ impl VerificationProblem {
     /// only withhold a verdict, never fabricate one. Tracing is
     /// observational only. An escalated solve raises its budgets for this
     /// call alone and restores the template's stock limits afterwards, so
-    /// sibling obligations reusing the scratch see unchanged budgets.
+    /// sibling obligations reusing the scratch see unchanged budgets. It
+    /// runs unseeded against the same instantiation as the canonical path,
+    /// so a successful retry returns the verdict a fault-free solve of the
+    /// obligation would have produced.
     ///
     /// # Errors
     /// Propagates encoding errors; template-scoped inputs (bounds or scratch
@@ -640,74 +610,29 @@ impl VerificationProblem {
         region: &StartRegion,
         options: &mut SolveOptions<'_>,
     ) -> Result<(Verdict, MilpSolution), CoreError> {
-        let default_be;
-        let backend: &dyn SolverBackend = match options.backend {
-            Some(backend) => backend,
-            None => {
-                default_be = default_backend();
-                &default_be
-            }
-        };
-        let disabled = TraceHandle::disabled();
-        let trace = options.tracer.unwrap_or(&disabled);
-        let cancel = options.cancel;
-        let mut local_scratch = None;
-        let scratch = match options.scratch.as_deref_mut() {
-            Some(scratch) => scratch,
-            None => &mut local_scratch,
-        };
-        match options.escalation {
-            Some(scale) => self.solve_template_escalated_impl(
-                template,
-                region,
-                options.bounds,
-                scratch,
-                scale,
-                backend,
-                cancel,
-                trace,
-            ),
-            None => {
-                let mut local_seed = None;
-                let seed = match options.seed.as_deref_mut() {
-                    Some(seed) => seed,
-                    None => &mut local_seed,
-                };
-                self.solve_template_impl(
-                    template,
-                    region,
-                    options.bounds,
-                    scratch,
-                    seed,
-                    backend,
-                    cancel,
-                    trace,
-                )
-            }
-        }
-    }
-
-    /// The template solve body: instantiate (or fall back to one-shot
-    /// encoding), solve seeded/cancellable/traced, interpret. Reached
-    /// exclusively through [`VerificationProblem::solve_with_template`].
-    #[allow(clippy::too_many_arguments)]
-    fn solve_template_impl(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        seed: &mut Option<BasisSnapshot>,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
+        let default = default_backend();
+        let backend = options.backend.unwrap_or(&default);
+        let milp = &mut options.milp;
         if !template.encoding.supports(region) {
-            let (verdict, _, solution) = self.run_solver_cancellable(region, backend, cancel)?;
+            // A one-shot encoding shares no structure with the template's
+            // bases, so the seed stays untouched; it is not traced either.
+            let (verdict, _, solution) = self.run_solver(
+                region,
+                backend,
+                options.escalation,
+                &mut MilpOptions {
+                    cancel: milp.cancel,
+                    ..MilpOptions::default()
+                },
+            )?;
             return Ok((verdict, solution));
         }
+        let disabled = TraceHandle::disabled();
+        let trace = milp.trace.unwrap_or(&disabled);
         let instantiate_started = trace.now_ns();
-        match (scratch.as_mut(), bounds) {
+        let mut local_scratch = None;
+        let scratch = options.scratch.as_deref_mut().unwrap_or(&mut local_scratch);
+        match (scratch.as_mut(), options.bounds) {
             (Some(existing), Some(bounds)) => template
                 .encoding
                 .instantiate_into_with(region, bounds, existing)?,
@@ -722,73 +647,29 @@ impl VerificationProblem {
                 dpv_trace::EventKind::Instantiate,
                 instantiate_started,
                 trace.now_ns().saturating_sub(instantiate_started),
-                u64::from(bounds.is_some()),
+                u64::from(options.bounds.is_some()),
             ));
         }
-        let encoded = scratch.as_ref().expect("scratch populated above");
-        let solution = backend.solve_traced(&encoded.milp, seed, cancel, trace);
-        let verdict = self.interpret_solution(encoded, &solution, &template.tail, backend);
-        Ok((verdict, solution))
-    }
-
-    /// The escalated retry for `IterationLimit`/`NodeLimit` outcomes: solves
-    /// the obligation again **cold** (no warm-basis seed — numerical trouble
-    /// inherited through a basis is the suspected cause) with both search
-    /// budgets raised by `budget_scale` (node limit, and the simplex pivot
-    /// budget via [`dpv_lp::LinearProgram::estimated_iteration_budget`]).
-    /// The raised limits are applied to the instantiated scratch problem for
-    /// this solve only and restored afterwards, so later obligations reusing
-    /// `scratch` see the stock budgets — retries cannot leak budget into
-    /// sibling obligations and break report determinism.
-    ///
-    /// Because the solve runs against the same template instantiation as the
-    /// canonical (unseeded) path, a successful retry returns the bit-identical
-    /// verdict that a fault-free solve of the obligation would have produced.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_template_escalated_impl(
-        &self,
-        template: &ProblemTemplate,
-        region: &StartRegion,
-        bounds: Option<&RegionBounds>,
-        scratch: &mut Option<EncodedProblem>,
-        budget_scale: usize,
-        backend: &dyn SolverBackend,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> Result<(Verdict, MilpSolution), CoreError> {
-        if !template.encoding.supports(region) {
-            let (_, tail) = self
-                .perception
-                .split_at(self.cut_layer)
-                .map_err(|e| CoreError::Inconsistent(e.to_string()))?;
-            let mut encoded = encode_verification(
-                tail.layers(),
-                Some(self.characterizer.network()),
-                &self.risk,
-                region,
-            )?;
-            raise_budgets(&mut encoded.milp, budget_scale);
-            let solution = backend.solve_cancellable(&encoded.milp, &mut None, cancel);
-            let verdict = self.interpret_solution(&encoded, &solution, &tail, backend);
-            return Ok((verdict, solution));
-        }
-        match (scratch.as_mut(), bounds) {
-            (Some(existing), Some(bounds)) => template
-                .encoding
-                .instantiate_into_with(region, bounds, existing)?,
-            (Some(existing), None) => template.encoding.instantiate_into(region, existing)?,
-            (None, Some(bounds)) => {
-                *scratch = Some(template.encoding.instantiate_with(region, bounds)?)
-            }
-            (None, None) => *scratch = Some(template.encoding.instantiate(region)?),
-        }
         let encoded = scratch.as_mut().expect("scratch populated above");
-        let saved_nodes = encoded.milp.node_limit();
-        let saved_pivots = encoded.milp.lp().iteration_limit();
-        raise_budgets(&mut encoded.milp, budget_scale);
-        let solution = backend.solve_traced(&encoded.milp, &mut None, cancel, trace);
-        encoded.milp.set_node_limit(saved_nodes);
-        encoded.milp.lp_mut().set_iteration_limit(saved_pivots);
+        let solution = match options.escalation {
+            None => backend.solve_with(&encoded.milp, milp),
+            Some(scale) => {
+                let saved_nodes = encoded.milp.node_limit();
+                let saved_pivots = encoded.milp.lp().iteration_limit();
+                raise_budgets(&mut encoded.milp, scale);
+                let solution = backend.solve_with(
+                    &encoded.milp,
+                    &mut MilpOptions {
+                        seed: None,
+                        cancel: milp.cancel,
+                        trace: milp.trace,
+                    },
+                );
+                encoded.milp.set_node_limit(saved_nodes);
+                encoded.milp.lp_mut().set_iteration_limit(saved_pivots);
+                solution
+            }
+        };
         let verdict = self.interpret_solution(encoded, &solution, &template.tail, backend);
         Ok((verdict, solution))
     }
@@ -819,7 +700,8 @@ impl VerificationProblem {
     ) -> Result<VerificationOutcome, CoreError> {
         let start_time = Instant::now();
         let region = self.start_region(strategy)?;
-        let (verdict, encoded, solution) = self.run_solver(&region, backend)?;
+        let (verdict, encoded, solution) =
+            self.run_solver(&region, backend, None, &mut MilpOptions::default())?;
         let solve_seconds = start_time.elapsed().as_secs_f64();
 
         Ok(VerificationOutcome {
@@ -857,8 +739,11 @@ impl VerificationProblem {
             return self.verify_with(strategy, backend);
         }
         let mut scratch = None;
-        let (verdict, solution) =
-            self.run_solver_with_template(template, &region, None, &mut scratch, backend)?;
+        let (verdict, solution) = self.solve_with_template(
+            template,
+            &region,
+            &mut SolveOptions::new().scratch(&mut scratch).backend(backend),
+        )?;
         let encoded = scratch.expect("supported regions populate the scratch");
         let solve_seconds = start_time.elapsed().as_secs_f64();
         Ok(VerificationOutcome {

@@ -5,12 +5,7 @@
 
 use std::fmt;
 
-use dpv_trace::TraceHandle;
-
-use crate::{
-    BasisSnapshot, CancelToken, LpStatus, MilpProblem, MilpSolution, MilpStatus, SolveStats,
-    SOLVER_EPS,
-};
+use crate::{LpStatus, MilpOptions, MilpProblem, MilpSolution, MilpStatus, SolveStats, SOLVER_EPS};
 
 /// A MILP solving engine.
 ///
@@ -20,6 +15,11 @@ use crate::{
 /// counterexample, `NodeLimit`/`Unbounded` → unknown). Implementations must
 /// be `Send + Sync` so one backend instance can serve concurrent
 /// verification jobs.
+///
+/// An engine implements [`SolverBackend::solve`]; one that can use a
+/// warm-start seed, a [`CancelToken`](crate::CancelToken) or a
+/// [`TraceHandle`](dpv_trace::TraceHandle) also overrides
+/// [`SolverBackend::solve_with`], the entry point `dpv-core` calls.
 pub trait SolverBackend: fmt::Debug + Send + Sync {
     /// Short human-readable engine name, used in reports and benchmark ids.
     fn name(&self) -> &str;
@@ -28,64 +28,26 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
     /// backend may stop at the first integer-feasible point.
     fn solve(&self, problem: &MilpProblem) -> MilpSolution;
 
-    /// Solves `problem`, optionally priming the engine's warm-start state
-    /// from `seed` and handing the final state back through it, so callers
-    /// holding a pool of [`BasisSnapshot`]s (e.g. the obligation server's
-    /// per-template snapshot pool) can chain repairs across problems.
+    /// Solves `problem` under `options`: a warm-start seed that callers
+    /// holding a pool of [`BasisSnapshot`](crate::BasisSnapshot)s (e.g. the
+    /// obligation server's per-template snapshot pool) chain across
+    /// problems, a cancellation token, and a trace handle for per-node
+    /// telemetry.
     ///
-    /// The default ignores the seed and leaves it untouched — engines
-    /// without warm-start state (cold, exhaustive, external solvers) stay
-    /// correct for free. Seeding is a pure performance hint: a stale or
-    /// foreign snapshot fails the LP layer's structure/validation guards and
-    /// the solve degrades to cold, never to a wrong verdict.
-    fn solve_seeded(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-    ) -> MilpSolution {
-        let _ = seed;
+    /// The default ignores the options and runs [`SolverBackend::solve`].
+    /// Every option is an engine capability, never a correctness
+    /// requirement: seeding and tracing cannot change a verdict, and an
+    /// engine that cannot cancel is merely less responsive to deadlines. So
+    /// engines without warm-start state (cold, exhaustive, external
+    /// solvers) stay correct for free.
+    fn solve_with(&self, problem: &MilpProblem, options: &mut MilpOptions<'_>) -> MilpSolution {
+        let _ = options;
         self.solve(problem)
-    }
-
-    /// [`SolverBackend::solve_seeded`] with cooperative cancellation: engines
-    /// that can poll a [`CancelToken`] return [`MilpStatus::Cancelled`]
-    /// promptly once it trips (e.g. a request deadline expired).
-    ///
-    /// The default ignores the token and runs [`SolverBackend::solve_seeded`]
-    /// to completion — cancellation support is an engine capability, not a
-    /// correctness requirement, so engines without it stay correct (merely
-    /// less responsive to deadlines).
-    fn solve_cancellable(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-    ) -> MilpSolution {
-        let _ = cancel;
-        self.solve_seeded(problem, seed)
-    }
-
-    /// [`SolverBackend::solve_cancellable`] recording per-node solver
-    /// telemetry through a [`TraceHandle`].
-    ///
-    /// The default ignores the handle and runs
-    /// [`SolverBackend::solve_cancellable`] — telemetry is an engine
-    /// capability, never a correctness requirement, and a disabled handle
-    /// must make the two entry points literally identical.
-    fn solve_traced(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> MilpSolution {
-        let _ = trace;
-        self.solve_cancellable(problem, seed, cancel)
     }
 }
 
 /// The crate's default engine: the depth-first branch-and-bound solver of
-/// [`MilpProblem::solve`], with warm-started node relaxations.
+/// [`MilpProblem::solve_with`], with warm-started node relaxations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchAndBoundBackend;
 
@@ -98,31 +60,8 @@ impl SolverBackend for BranchAndBoundBackend {
         problem.solve()
     }
 
-    fn solve_seeded(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-    ) -> MilpSolution {
-        problem.solve_seeded(seed)
-    }
-
-    fn solve_cancellable(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-    ) -> MilpSolution {
-        problem.solve_seeded_cancellable(seed, cancel)
-    }
-
-    fn solve_traced(
-        &self,
-        problem: &MilpProblem,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> MilpSolution {
-        problem.solve_traced(seed, cancel, trace)
+    fn solve_with(&self, problem: &MilpProblem, options: &mut MilpOptions<'_>) -> MilpSolution {
+        problem.solve_with(options)
     }
 }
 

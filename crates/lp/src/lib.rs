@@ -24,23 +24,29 @@
 //!   only trusted with a Farkas certificate recomputed over the variable
 //!   box from the live constraints.
 //! * [`MilpProblem`] — an LP plus a set of binary variables, solved by
-//!   branch-and-bound over the binaries ([`MilpProblem::solve`]), with every
-//!   node relaxation warm-started from the most recent basis
-//!   ([`SolveStats`] reports the warm/cold split; [`MilpProblem::solve_cold`]
-//!   keeps the PR-2 cold path for comparison). A feasibility-only mode is
-//!   what safety verification uses: *is there an assignment inside the
-//!   envelope that triggers the risk condition?*
+//!   branch-and-bound over the binaries, with every node relaxation
+//!   warm-started from the most recent basis ([`SolveStats`] reports the
+//!   warm/cold split; [`MilpProblem::solve_cold`] keeps the PR-2 cold path
+//!   for comparison). [`MilpProblem::solve_with`] is the one solve entry
+//!   point; its [`MilpOptions`] carry a caller-owned warm-start seed chained
+//!   across problems, a [`CancelToken`] and a trace handle, and
+//!   [`MilpProblem::solve`] is the call with none of them. A
+//!   feasibility-only mode is what safety verification uses: *is there an
+//!   assignment inside the envelope that triggers the risk condition?*
 //! * [`encode_relu_big_m`] — the standard big-M encoding of a ReLU
 //!   constraint `y = max(0, x)` with known pre-activation bounds, the
 //!   building block of the network encoding in `dpv-core`.
 //! * [`SolverBackend`] — the seam between problem encoding and solving:
-//!   `dpv-core` routes every verification solve through this trait, so
-//!   alternative engines (parallel branch-and-bound, external solvers) can
-//!   be swapped in without touching the verification logic.
+//!   `dpv-core` routes every verification solve through
+//!   [`SolverBackend::solve_with`], so alternative engines (parallel
+//!   branch-and-bound, external solvers) can be swapped in without touching
+//!   the verification logic. An engine need only implement
+//!   [`SolverBackend::solve`]; the default `solve_with` ignores the options.
 //!   [`BranchAndBoundBackend`] is the default engine; [`ExhaustiveBackend`]
 //!   is a brute-force cross-check oracle for tests; and
 //!   [`ParallelBranchAndBoundBackend`] explores branch-and-bound subtrees on
-//!   work-stealing worker threads with a shared incumbent bound.
+//!   work-stealing worker threads with a shared incumbent bound, running the
+//!   serial engine's node evaluator on every worker.
 //! * [`CancelToken`] — a cooperative cancellation handle polled inside the
 //!   simplex pivot loop and the branch-and-bound node loop. A tripped token
 //!   (explicit or deadline-based) makes the solve return promptly with
@@ -88,7 +94,7 @@ pub use backend::{
     SolverBackend,
 };
 pub use cancel::CancelToken;
-pub use milp::{MilpProblem, MilpSolution, MilpStatus, SolveStats};
+pub use milp::{MilpOptions, MilpProblem, MilpSolution, MilpStatus, SolveStats};
 pub use model::{Constraint, ConstraintOp, LinearProgram, LpSolution, LpStatus, VarId};
 pub use parallel::ParallelBranchAndBoundBackend;
 pub use relu::{encode_relu_big_m, ReluEncoding};

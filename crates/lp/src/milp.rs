@@ -2,7 +2,9 @@
 
 use dpv_trace::{CounterId, TraceHandle};
 
-use crate::{BasisSnapshot, CancelToken, LinearProgram, LpSolution, LpStatus, VarId, SOLVER_EPS};
+use crate::{
+    simplex, BasisSnapshot, CancelToken, LinearProgram, LpSolution, LpStatus, VarId, SOLVER_EPS,
+};
 
 /// Status of a MILP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +108,301 @@ impl MilpSolution {
     }
 }
 
+/// Per-solve options of [`MilpProblem::solve_with`] and
+/// [`SolverBackend::solve_with`](crate::SolverBackend::solve_with).
+///
+/// Every field is optional: the default owns its warm-start basis, polls no
+/// token and records nothing, which is exactly [`MilpProblem::solve`].
+#[derive(Debug, Default)]
+pub struct MilpOptions<'a> {
+    /// A caller-owned rolling basis. When `Some`, it primes the first node's
+    /// warm start and on return holds the last solved basis, so consecutive
+    /// MILPs that share a structure — e.g. instantiations of one encoding
+    /// template across obligations or requests — chain their dual-simplex
+    /// repairs across *problem* boundaries, not just across nodes of one
+    /// search tree.
+    ///
+    /// Soundness does not depend on the seed matching: a stale or foreign
+    /// basis fails [`LinearProgram::solve_from_basis`]'s structure check or
+    /// its primal/Farkas validation, and the node falls back to a cold
+    /// two-phase solve (counted in [`SolveStats::warm_declined`]).
+    pub seed: Option<&'a mut Option<BasisSnapshot>>,
+    /// Polled in the node loop and inside every LP relaxation. A tripped
+    /// token returns [`MilpStatus::Cancelled`] (with the incumbent found so
+    /// far) promptly instead of searching on.
+    pub cancel: Option<&'a CancelToken>,
+    /// Records per-node solver telemetry (branch-and-bound nodes, warm/cold
+    /// LP split, simplex pivots, refactorisations, sampled progress events).
+    /// Tracing is observational and never alters the search.
+    pub trace: Option<&'a TraceHandle>,
+}
+
+/// The fixings of one open branch-and-bound node: the `(binary, fixed
+/// value)` decisions on the path from the root.
+pub(crate) type Node = Vec<(VarId, f64)>;
+
+/// What evaluating one branch-and-bound node decided. Each engine acts on it
+/// against its own frontier and incumbent store.
+pub(crate) enum NodeOutcome {
+    /// The node is closed: its relaxation is infeasible, one of its fixings
+    /// contradicts a pre-fixed binary, or the incumbent bound prunes it.
+    Fathomed,
+    /// The relaxation could not be solved (pivot budget exhausted or token
+    /// tripped); neither pruning nor branching is justified, so the search
+    /// stops with this status.
+    Stop(MilpStatus),
+    /// The relaxation is unbounded with every binary fixed: the unbounded
+    /// ray is integer feasible, so the MILP itself is unbounded (this also
+    /// covers a binary-free problem at the root).
+    Unbounded,
+    /// The relaxation is integral over the binaries.
+    IntegerFeasible {
+        /// The relaxation's optimal point.
+        values: Vec<f64>,
+        /// Its objective value.
+        objective: f64,
+    },
+    /// Branch on `var`; the relaxation suggests exploring `suggested` first.
+    Branch {
+        /// The binary to fix in both children.
+        var: VarId,
+        /// The value of the child to explore first.
+        suggested: f64,
+    },
+}
+
+/// The two children of `fixings` when branching on `var`, in push order for
+/// a LIFO frontier: the child the relaxation suggested comes last, so it is
+/// popped first.
+pub(crate) fn children(fixings: Node, var: VarId, suggested: f64) -> [Node; 2] {
+    let mut first = fixings.clone();
+    first.push((var, 1.0 - suggested));
+    let mut second = fixings;
+    second.push((var, suggested));
+    [first, second]
+}
+
+/// Returns `true` when `objective` beats the incumbent objective `best`
+/// (anything beats no incumbent).
+pub(crate) fn improves(maximize: bool, objective: f64, best: Option<f64>) -> bool {
+    match best {
+        None => true,
+        Some(best) if maximize => objective > best,
+        Some(best) => objective < best,
+    }
+}
+
+/// Assembles a search result. `halted` is the status of an early stop, if
+/// any; a feasibility-only search is complete at its first feasible point
+/// even when a limit tripped in the same instant, and an unbounded MILP
+/// reports no point.
+pub(crate) fn finish(
+    halted: Option<MilpStatus>,
+    incumbent: Option<(Vec<f64>, f64)>,
+    feasibility_only: bool,
+    stats: SolveStats,
+) -> MilpSolution {
+    let (status, (values, objective)) = match (halted, incumbent) {
+        (Some(MilpStatus::Unbounded), _) => (MilpStatus::Unbounded, Default::default()),
+        (_, Some(found)) if feasibility_only => (MilpStatus::Optimal, found),
+        (Some(status), found) => (status, found.unwrap_or_default()),
+        (None, Some(found)) => (MilpStatus::Optimal, found),
+        (None, None) => (MilpStatus::Infeasible, Default::default()),
+    };
+    MilpSolution {
+        status,
+        values,
+        objective,
+        stats,
+    }
+}
+
+/// Evaluates the branch-and-bound nodes of one problem: the node body the
+/// serial and parallel engines share, so their trees and statistics mean the
+/// same thing.
+///
+/// Node evaluation is allocation-free with respect to the model: a single
+/// scratch [`LinearProgram`] is reused, with binary bounds restored from a
+/// saved snapshot and tightened to each node's fixings. Each relaxation is
+/// warm-started from the rolling basis in `warm` — any dual-feasible basis
+/// of the *same* matrix and objective warm-starts any node, because dual
+/// feasibility does not depend on the right-hand side — so the most recent
+/// basis works across backtracks and even across work-stealing, not just
+/// parent→child edges.
+pub(crate) struct NodeEvaluator<'a> {
+    problem: &'a MilpProblem,
+    /// Pristine bounds of every binary, restored before each node.
+    saved_bounds: Vec<(VarId, f64, f64)>,
+    scratch: LinearProgram,
+    warm: &'a mut Option<BasisSnapshot>,
+    warm_enabled: bool,
+    cancel: Option<&'a CancelToken>,
+    trace: &'a TraceHandle,
+    feasibility_only: bool,
+    /// Statistics of every node evaluated so far.
+    pub(crate) stats: SolveStats,
+}
+
+impl<'a> NodeEvaluator<'a> {
+    /// An evaluator over a fresh scratch copy of `problem`'s LP. With
+    /// `warm_enabled` false every node pays a cold two-phase solve.
+    pub(crate) fn new(
+        problem: &'a MilpProblem,
+        warm: &'a mut Option<BasisSnapshot>,
+        warm_enabled: bool,
+        cancel: Option<&'a CancelToken>,
+        trace: &'a TraceHandle,
+    ) -> Self {
+        Self {
+            problem,
+            saved_bounds: problem
+                .binaries
+                .iter()
+                .map(|&b| {
+                    let (lo, hi) = problem.lp.bounds(b);
+                    (b, lo, hi)
+                })
+                .collect(),
+            scratch: problem.lp.clone(),
+            warm,
+            warm_enabled,
+            cancel,
+            trace,
+            feasibility_only: problem.is_feasibility_only(),
+            stats: SolveStats::default(),
+        }
+    }
+
+    /// Whether the solve's token has tripped; engines poll it before taking
+    /// a node.
+    pub(crate) fn cancelled(&self) -> bool {
+        self.cancel.is_some_and(CancelToken::is_cancelled)
+    }
+
+    /// Evaluates the node with `fixings`, pruning against the incumbent
+    /// objective `incumbent` returns (read after the relaxation is solved).
+    pub(crate) fn evaluate(
+        &mut self,
+        fixings: &[(VarId, f64)],
+        incumbent: impl FnOnce() -> Option<f64>,
+    ) -> NodeOutcome {
+        self.stats.nodes_explored += 1;
+        for &(var, lo, hi) in &self.saved_bounds {
+            self.scratch.set_bounds(var, lo, hi);
+        }
+        // A fixing that falls outside the variable's original bounds
+        // (possible when a binary was pre-fixed, e.g. a stable ReLU phase)
+        // makes the node infeasible without solving anything.
+        for &(var, value) in fixings {
+            let (lo, hi) = self.problem.lp.bounds(var);
+            if value < lo - SOLVER_EPS || value > hi + SOLVER_EPS {
+                return NodeOutcome::Fathomed;
+            }
+            self.scratch.set_bounds(var, value, value);
+        }
+        let solution = self.solve_relaxation();
+        let binaries = &self.problem.binaries;
+        match solution.status {
+            LpStatus::Optimal => {}
+            LpStatus::Infeasible => return NodeOutcome::Fathomed,
+            LpStatus::IterationLimit => return NodeOutcome::Stop(MilpStatus::IterationLimit),
+            LpStatus::Cancelled => return NodeOutcome::Stop(MilpStatus::Cancelled),
+            // With binaries still free an unbounded relaxation cannot be
+            // pruned: branch on any unfixed binary.
+            LpStatus::Unbounded => {
+                return match binaries
+                    .iter()
+                    .copied()
+                    .find(|&b| fixings.iter().all(|(v, _)| *v != b))
+                {
+                    Some(var) => NodeOutcome::Branch {
+                        var,
+                        suggested: 1.0,
+                    },
+                    None => NodeOutcome::Unbounded,
+                };
+            }
+        }
+        // Bound pruning (only ever triggers for optimisation problems: a
+        // feasibility-only search stops at its first incumbent).
+        if let Some(best) = incumbent() {
+            let worse = if self.problem.lp.is_maximization() {
+                solution.objective <= best + SOLVER_EPS
+            } else {
+                solution.objective >= best - SOLVER_EPS
+            };
+            if worse {
+                self.stats.nodes_pruned += 1;
+                return NodeOutcome::Fathomed;
+            }
+        }
+        match select_branching_variable(binaries, fixings, &solution.values, self.feasibility_only)
+        {
+            Some(var) => NodeOutcome::Branch {
+                var,
+                suggested: solution.values[var].round().clamp(0.0, 1.0),
+            },
+            None => NodeOutcome::IntegerFeasible {
+                values: solution.values,
+                objective: solution.objective,
+            },
+        }
+    }
+
+    /// Solves the scratch LP, warm-starting from the rolling basis when
+    /// enabled, and falls back to (and refreshes the basis from) a cold
+    /// solve otherwise.
+    fn solve_relaxation(&mut self) -> LpSolution {
+        /// Warm re-solves per snapshot before a forced cold refactorisation.
+        /// The implicit `B⁻¹` columns accumulate floating-point drift with
+        /// every pivot; the Farkas certificate already guards against *wrong*
+        /// verdicts, but a periodic fresh factorisation keeps the
+        /// certificate's bail-out rate — and hence the warm hit rate — high
+        /// on deep search trees.
+        const REFACTOR_INTERVAL: usize = 256;
+        if self
+            .warm
+            .as_ref()
+            .is_some_and(|snapshot| snapshot.warm_uses() >= REFACTOR_INTERVAL)
+        {
+            *self.warm = None;
+            self.trace.add(CounterId::Refactorisations, 1);
+        }
+        let stats = &mut self.stats;
+        let mut warm_used = false;
+        let solution = if self.warm_enabled {
+            let snapshot_offered = self.warm.is_some();
+            match self
+                .warm
+                .as_mut()
+                .and_then(|snap| simplex::solve_from_basis(&self.scratch, snap, self.cancel))
+            {
+                Some(solution) => {
+                    stats.warm_solves += 1;
+                    warm_used = true;
+                    solution
+                }
+                None => {
+                    if snapshot_offered {
+                        stats.warm_declined += 1;
+                    }
+                    let (solution, snapshot) =
+                        simplex::solve_with_snapshot(&self.scratch, self.cancel);
+                    stats.cold_solves += 1;
+                    *self.warm = snapshot;
+                    solution
+                }
+            }
+        } else {
+            stats.cold_solves += 1;
+            simplex::solve(&self.scratch, self.cancel)
+        };
+        stats.simplex_iterations += solution.iterations;
+        self.trace.lp_node(warm_used, solution.iterations as u64);
+        solution
+    }
+}
+
 /// Picks the binary variable to branch on at a node whose relaxation is
 /// optimal, or `None` when the relaxation is integral over the unfixed
 /// binaries.
@@ -118,70 +415,7 @@ impl MilpSolution {
 /// rule. For **optimisation** problems the first fractional binary is kept:
 /// diving along the relaxation's suggestion finds strong incumbents early,
 /// and the incumbent bound — not contradiction depth — prunes the tree.
-/// Solves one node's LP relaxation against `scratch`, warm-starting from the
-/// rolling basis in `warm` when enabled, and falls back to (and refreshes the
-/// basis from) a cold solve otherwise. Shared by the serial and parallel
-/// branch-and-bound engines so their statistics mean the same thing.
-///
-/// Any dual-feasible basis of the *same* matrix and objective warm-starts any
-/// node — dual feasibility does not depend on the right-hand side — so the
-/// rolling "most recent basis" works across backtracks and even across
-/// work-stealing, not just parent→child edges.
-pub(crate) fn solve_node_lp(
-    scratch: &LinearProgram,
-    warm: &mut Option<BasisSnapshot>,
-    warm_enabled: bool,
-    stats: &mut SolveStats,
-    cancel: Option<&CancelToken>,
-    trace: &TraceHandle,
-) -> LpSolution {
-    /// Warm re-solves per snapshot before a forced cold refactorisation.
-    /// The implicit `B⁻¹` columns accumulate floating-point drift with
-    /// every pivot; the Farkas certificate already guards against *wrong*
-    /// verdicts, but a periodic fresh factorisation keeps the certificate's
-    /// bail-out rate — and hence the warm hit rate — high on deep search
-    /// trees.
-    const REFACTOR_INTERVAL: usize = 256;
-    if warm
-        .as_ref()
-        .is_some_and(|snapshot| snapshot.warm_uses() >= REFACTOR_INTERVAL)
-    {
-        *warm = None;
-        trace.add(CounterId::Refactorisations, 1);
-    }
-    let mut warm_used = false;
-    let solution = if warm_enabled {
-        let snapshot_offered = warm.is_some();
-        match warm
-            .as_mut()
-            .and_then(|snap| scratch.solve_from_basis_cancellable(snap, cancel))
-        {
-            Some(solution) => {
-                stats.warm_solves += 1;
-                warm_used = true;
-                solution
-            }
-            None => {
-                if snapshot_offered {
-                    stats.warm_declined += 1;
-                }
-                let (solution, snapshot) = scratch.solve_with_snapshot_cancellable(cancel);
-                stats.cold_solves += 1;
-                *warm = snapshot;
-                solution
-            }
-        }
-    } else {
-        let solution = scratch.solve_cancellable(cancel);
-        stats.cold_solves += 1;
-        solution
-    };
-    stats.simplex_iterations += solution.iterations;
-    trace.lp_node(warm_used, solution.iterations as u64);
-    solution
-}
-
-pub(crate) fn select_branching_variable(
+fn select_branching_variable(
     binaries: &[VarId],
     fixings: &[(VarId, f64)],
     values: &[f64],
@@ -313,277 +547,88 @@ impl MilpProblem {
                 .all(|&b| (values[b] - values[b].round()).abs() <= eps)
     }
 
-    /// Solves the MILP by best-effort depth-first branch-and-bound.
-    ///
-    /// For pure feasibility problems (zero objective) the search stops at the
-    /// first integer-feasible node.
-    ///
-    /// Node evaluation is allocation-free with respect to the model: instead
-    /// of cloning the whole [`LinearProgram`] per node, a single scratch
-    /// program is reused — binary bounds are tightened to the node's fixings
-    /// on descent and restored from a saved snapshot on backtrack. Each
-    /// node's relaxation is additionally **warm-started** from the most
-    /// recent solved basis ([`LinearProgram::solve_from_basis`]): consecutive
-    /// nodes differ only in binary bounds, so a dual-simplex repair replaces
-    /// the two cold phases; [`SolveStats`] records the warm/cold split.
-    pub fn solve(&self) -> MilpSolution {
-        self.solve_impl(true, &mut None, None, &TraceHandle::disabled())
+    /// Returns `true` for a pure feasibility problem (all-zero objective).
+    pub(crate) fn is_feasibility_only(&self) -> bool {
+        self.lp.objective().iter().all(|&c| c == 0.0)
     }
 
-    /// [`MilpProblem::solve`] polling a [`CancelToken`] in the node loop and
-    /// inside every LP relaxation; a tripped token returns
-    /// [`MilpStatus::Cancelled`] (with the incumbent found so far) promptly
-    /// instead of searching on.
-    pub fn solve_cancellable(&self, cancel: Option<&CancelToken>) -> MilpSolution {
-        self.solve_impl(true, &mut None, cancel, &TraceHandle::disabled())
+    /// Solves the MILP by best-effort depth-first branch-and-bound; shorthand
+    /// for [`MilpProblem::solve_with`] with default options.
+    pub fn solve(&self) -> MilpSolution {
+        self.solve_with(&mut MilpOptions::default())
     }
 
     /// [`MilpProblem::solve`] with warm starting disabled: every node pays a
     /// cold two-phase solve. Kept as the PR-2 reference path for benchmarks
     /// and equivalence tests ([`crate::ColdBranchAndBoundBackend`]).
     pub fn solve_cold(&self) -> MilpSolution {
-        self.solve_impl(false, &mut None, None, &TraceHandle::disabled())
+        self.search(false, &mut MilpOptions::default())
     }
 
-    /// [`MilpProblem::solve`] with an externally owned rolling basis.
+    /// Solves the MILP by best-effort depth-first branch-and-bound under
+    /// `options` (warm-start seed, cancellation, tracing).
     ///
-    /// The caller's `seed` primes the first node's warm start (when `Some`)
-    /// and on return holds the last solved basis, so consecutive MILPs that
-    /// share a structure — e.g. instantiations of one `EncodingTemplate`
-    /// across obligations or requests — can chain their dual-simplex repairs
-    /// across *problem* boundaries, not just across nodes of one search tree.
-    ///
-    /// Soundness does not depend on the seed matching: a stale or foreign
-    /// basis fails [`LinearProgram::solve_from_basis`]'s structure check or
-    /// its primal/Farkas validation and the node silently falls back to a
-    /// cold two-phase solve (counted in [`SolveStats::cold_solves`]).
-    pub fn solve_seeded(&self, seed: &mut Option<BasisSnapshot>) -> MilpSolution {
-        self.solve_impl(true, seed, None, &TraceHandle::disabled())
+    /// For pure feasibility problems (zero objective) the search stops at the
+    /// first integer-feasible node. Each node's relaxation is
+    /// **warm-started** from the most recent solved basis
+    /// ([`LinearProgram::solve_from_basis`]): consecutive nodes differ only
+    /// in binary bounds, so a dual-simplex repair replaces the two cold
+    /// phases; [`SolveStats`] records the warm/cold split.
+    pub fn solve_with(&self, options: &mut MilpOptions<'_>) -> MilpSolution {
+        self.search(true, options)
     }
 
-    /// [`MilpProblem::solve_seeded`] with cooperative cancellation (see
-    /// [`MilpProblem::solve_cancellable`]).
-    pub fn solve_seeded_cancellable(
-        &self,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-    ) -> MilpSolution {
-        self.solve_impl(true, seed, cancel, &TraceHandle::disabled())
-    }
-
-    /// [`MilpProblem::solve_seeded_cancellable`] recording per-node solver
-    /// telemetry (branch-and-bound nodes, warm/cold LP split, simplex
-    /// pivots, refactorisations, sampled progress events) through a
-    /// [`TraceHandle`]. With a disabled handle — the default everywhere
-    /// else — this is exactly `solve_seeded_cancellable`: tracing is
-    /// observational and never alters the search.
-    pub fn solve_traced(
-        &self,
-        seed: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> MilpSolution {
-        self.solve_impl(true, seed, cancel, trace)
-    }
-
-    fn solve_impl(
-        &self,
-        warm_enabled: bool,
-        warm: &mut Option<BasisSnapshot>,
-        cancel: Option<&CancelToken>,
-        trace: &TraceHandle,
-    ) -> MilpSolution {
-        let feasibility_only = self.lp.objective().iter().all(|&c| c == 0.0);
-        let mut stats = SolveStats::default();
+    /// The serial engine: a depth-first stack of open nodes and one
+    /// incumbent, around the shared [`NodeEvaluator`].
+    fn search(&self, warm_enabled: bool, options: &mut MilpOptions<'_>) -> MilpSolution {
+        let disabled = TraceHandle::disabled();
+        let mut own_seed = None;
+        let mut evaluator = NodeEvaluator::new(
+            self,
+            options.seed.as_deref_mut().unwrap_or(&mut own_seed),
+            warm_enabled,
+            options.cancel,
+            options.trace.unwrap_or(&disabled),
+        );
+        let feasibility_only = self.is_feasibility_only();
+        let maximize = self.lp.is_maximization();
         let mut incumbent: Option<(Vec<f64>, f64)> = None;
-        // Each stack entry is a list of (binary var, fixed value) decisions.
-        let mut stack: Vec<Vec<(VarId, f64)>> = vec![Vec::new()];
-        let mut hit_limit = false;
-        // The single scratch LP all nodes are evaluated against, plus the
-        // pristine binary bounds to restore between nodes, plus the rolling
-        // warm-start basis refreshed after every solved relaxation.
-        let mut scratch = self.lp.clone();
-        let saved_bounds: Vec<(VarId, f64, f64)> = self
-            .binaries
-            .iter()
-            .map(|&b| {
-                let (lo, hi) = self.lp.bounds(b);
-                (b, lo, hi)
-            })
-            .collect();
-
+        let mut stack: Vec<Node> = vec![Node::new()];
+        let mut halted = None;
         while let Some(fixings) = stack.pop() {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                let (values, objective) = match incumbent {
-                    Some((values, objective)) => (values, objective),
-                    None => (Vec::new(), 0.0),
-                };
-                return MilpSolution {
-                    status: MilpStatus::Cancelled,
-                    values,
-                    objective,
-                    stats,
-                };
-            }
-            if stats.nodes_explored >= self.node_limit {
-                hit_limit = true;
+            if evaluator.cancelled() {
+                halted = Some(MilpStatus::Cancelled);
                 break;
             }
-            stats.nodes_explored += 1;
-
-            for &(var, lo, hi) in &saved_bounds {
-                scratch.set_bounds(var, lo, hi);
+            if evaluator.stats.nodes_explored >= self.node_limit {
+                halted = Some(MilpStatus::NodeLimit);
+                break;
             }
-            // A fixing that falls outside the variable's original bounds
-            // (possible when a binary was pre-fixed, e.g. a stable ReLU
-            // phase) makes the node infeasible without solving anything.
-            let mut conflict = false;
-            for &(var, value) in &fixings {
-                let (lo, hi) = self.lp.bounds(var);
-                if value < lo - SOLVER_EPS || value > hi + SOLVER_EPS {
-                    conflict = true;
+            let best = incumbent.as_ref().map(|&(_, objective)| objective);
+            match evaluator.evaluate(&fixings, || best) {
+                NodeOutcome::Fathomed => {}
+                NodeOutcome::Stop(status) => {
+                    halted = Some(status);
                     break;
                 }
-                scratch.set_bounds(var, value, value);
-            }
-            if conflict {
-                continue;
-            }
-            let solution = solve_node_lp(&scratch, warm, warm_enabled, &mut stats, cancel, trace);
-            match solution.status {
-                LpStatus::Infeasible => continue,
-                LpStatus::IterationLimit | LpStatus::Cancelled => {
-                    // The relaxation could not be solved (budget exhausted or
-                    // cancellation); neither pruning nor branching is
-                    // justified. Stop conservatively.
-                    let (values, objective) = match incumbent {
-                        Some((values, objective)) => (values, objective),
-                        None => (Vec::new(), 0.0),
-                    };
-                    return MilpSolution {
-                        status: if solution.status == LpStatus::Cancelled {
-                            MilpStatus::Cancelled
-                        } else {
-                            MilpStatus::IterationLimit
-                        },
-                        values,
-                        objective,
-                        stats,
-                    };
+                NodeOutcome::Unbounded => {
+                    halted = Some(MilpStatus::Unbounded);
+                    break;
                 }
-                LpStatus::Unbounded => {
-                    // With every binary fixed the relaxation *is* an integer
-                    // assignment, so an unbounded ray there proves the MILP
-                    // itself unbounded (this also covers a binary-free
-                    // problem at the root). With binaries still free we
-                    // cannot prune, so branch further.
-                    if fixings.len() == self.binaries.len() {
-                        return MilpSolution {
-                            status: MilpStatus::Unbounded,
-                            values: Vec::new(),
-                            objective: 0.0,
-                            stats,
-                        };
-                    }
-                }
-                LpStatus::Optimal => {
-                    // Bound pruning (only valid for optimisation problems).
-                    if let Some((_, best)) = &incumbent {
-                        let worse = if self.lp.is_maximization() {
-                            solution.objective <= *best + SOLVER_EPS
-                        } else {
-                            solution.objective >= *best - SOLVER_EPS
-                        };
-                        if worse {
-                            stats.nodes_pruned += 1;
-                            continue;
-                        }
-                    }
-                }
-            }
-
-            let fractional = if solution.status == LpStatus::Optimal {
-                select_branching_variable(
-                    &self.binaries,
-                    &fixings,
-                    &solution.values,
-                    feasibility_only,
-                )
-            } else {
-                // Unbounded relaxation: branch on any unfixed binary.
-                self.binaries
-                    .iter()
-                    .copied()
-                    .find(|&b| fixings.iter().all(|(v, _)| *v != b))
-            };
-
-            match fractional {
-                None if solution.status == LpStatus::Optimal => {
-                    // Integer feasible.
-                    let objective = solution.objective;
-                    let better = match &incumbent {
-                        None => true,
-                        Some((_, best)) => {
-                            if self.lp.is_maximization() {
-                                objective > *best
-                            } else {
-                                objective < *best
-                            }
-                        }
-                    };
-                    if better {
-                        incumbent = Some((solution.values.clone(), objective));
+                NodeOutcome::IntegerFeasible { values, objective } => {
+                    if improves(maximize, objective, best) {
+                        incumbent = Some((values, objective));
                     }
                     if feasibility_only {
                         break;
                     }
                 }
-                None => {
-                    // Unreachable: an unbounded relaxation with every binary
-                    // fixed already returned `Unbounded` above, so there is
-                    // always an unfixed binary to branch on here.
-                }
-                Some(branch_var) => {
-                    // Depth-first: explore the branch suggested by the
-                    // relaxation last so it is popped first.
-                    let suggested = if solution.status == LpStatus::Optimal {
-                        solution.values[branch_var].round().clamp(0.0, 1.0)
-                    } else {
-                        1.0
-                    };
-                    let other = 1.0 - suggested;
-                    let mut first = fixings.clone();
-                    first.push((branch_var, other));
-                    let mut second = fixings;
-                    second.push((branch_var, suggested));
-                    stack.push(first);
-                    stack.push(second);
+                NodeOutcome::Branch { var, suggested } => {
+                    stack.extend(children(fixings, var, suggested));
                 }
             }
         }
-
-        match incumbent {
-            Some((values, objective)) => MilpSolution {
-                status: if hit_limit {
-                    MilpStatus::NodeLimit
-                } else {
-                    MilpStatus::Optimal
-                },
-                values,
-                objective,
-                stats,
-            },
-            None => MilpSolution {
-                status: if hit_limit {
-                    MilpStatus::NodeLimit
-                } else {
-                    MilpStatus::Infeasible
-                },
-                values: Vec::new(),
-                objective: 0.0,
-                stats,
-            },
-        }
+        finish(halted, incumbent, feasibility_only, evaluator.stats)
     }
 }
 
@@ -591,6 +636,13 @@ impl MilpProblem {
 mod tests {
     use super::*;
     use crate::ConstraintOp;
+
+    fn seeded(seed: &mut Option<BasisSnapshot>) -> MilpOptions<'_> {
+        MilpOptions {
+            seed: Some(seed),
+            ..MilpOptions::default()
+        }
+    }
 
     #[test]
     fn knapsack_is_solved_exactly() {
@@ -796,10 +848,10 @@ mod tests {
             milp
         };
         let mut seed = None;
-        let first = build(2.0).solve_seeded(&mut seed);
+        let first = build(2.0).solve_with(&mut seeded(&mut seed));
         assert_eq!(first.status, MilpStatus::Optimal);
         assert!(seed.is_some(), "seeded solve must hand the basis back");
-        let second = build(3.0).solve_seeded(&mut seed);
+        let second = build(3.0).solve_with(&mut seeded(&mut seed));
         assert_eq!(second.status, MilpStatus::Optimal);
         assert_eq!(
             second.stats.cold_solves, 0,
@@ -826,7 +878,7 @@ mod tests {
             .lp_mut()
             .add_constraint(&coeffs, ConstraintOp::Ge, 1.0);
         let mut seed = None;
-        let _ = donor.solve_seeded(&mut seed);
+        let _ = donor.solve_with(&mut seeded(&mut seed));
         assert!(seed.is_some());
 
         let mut other = MilpProblem::new();
@@ -835,7 +887,7 @@ mod tests {
         other
             .lp_mut()
             .add_constraint(&[(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 3.0);
-        let seeded = other.solve_seeded(&mut seed);
+        let seeded = other.solve_with(&mut seeded(&mut seed));
         let reference = other.solve();
         assert_eq!(seeded.status, reference.status);
         assert_eq!(seeded.status, MilpStatus::Infeasible);

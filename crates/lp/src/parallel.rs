@@ -18,10 +18,11 @@
 //!   verification actually issues) stop the whole fleet at the first
 //!   integer-feasible point via an atomic stop flag.
 //!
-//! Like the serial engine, node evaluation is allocation-free with respect
-//! to the model: each worker keeps one scratch [`LinearProgram`], tightening
-//! binary bounds on descent and restoring them from a saved snapshot for the
-//! next node, instead of cloning the model per node.
+//! Node evaluation is the serial engine's own: each worker runs the shared
+//! node evaluator over one scratch copy of the LP (tightening binary bounds
+//! per node instead of cloning the model), so serial and parallel explore
+//! the same tree modulo scheduling, and the solve's cancellation token and
+//! trace handle reach every worker.
 //!
 //! Determinism: verdict-level results (`Optimal` / `Infeasible` /
 //! `Unbounded`) are scheduling-independent, but *which* feasible point or
@@ -32,23 +33,18 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+use dpv_trace::TraceHandle;
 use parking_lot::Mutex;
 
-use crate::{
-    BasisSnapshot, LinearProgram, LpStatus, MilpProblem, MilpSolution, MilpStatus, SolveStats,
-    SolverBackend, VarId, SOLVER_EPS,
-};
-
-/// A branching decision list: the `(binary, fixed value)` pairs on the path
-/// from the root to an open node.
-type Node = Vec<(VarId, f64)>;
+use crate::milp::{children, finish, improves, Node, NodeEvaluator, NodeOutcome};
+use crate::{MilpOptions, MilpProblem, MilpSolution, MilpStatus, SolveStats, SolverBackend};
 
 /// A [`SolverBackend`] that explores branch-and-bound subtrees on worker
 /// threads.
 ///
 /// With `workers == 1` (or a problem with fewer than two binaries) it
-/// delegates to the serial [`MilpProblem::solve`], so a worker count of one
-/// is always a safe default.
+/// delegates to the serial [`MilpProblem::solve_with`], so a worker count of
+/// one is always a safe default.
 #[derive(Debug, Clone)]
 pub struct ParallelBranchAndBoundBackend {
     workers: usize,
@@ -87,10 +83,7 @@ impl Default for ParallelBranchAndBoundBackend {
 }
 
 /// State shared by every worker of one solve.
-struct SearchState<'a> {
-    problem: &'a MilpProblem,
-    /// Pristine bounds of every binary, restored between nodes.
-    saved_bounds: Vec<(VarId, f64, f64)>,
+struct SearchState {
     feasibility_only: bool,
     maximize: bool,
     node_limit: usize,
@@ -98,14 +91,12 @@ struct SearchState<'a> {
     stealers: Vec<Stealer<Node>>,
     /// Best integer-feasible `(values, objective)` found so far.
     incumbent: Mutex<Option<(Vec<f64>, f64)>>,
-    /// Set when the whole search should halt (first feasible point of a
-    /// feasibility-only problem, proven unboundedness, or the node limit).
+    /// Why the search halted early (node limit, pivot budget, cancellation
+    /// or proven unboundedness), if it did.
+    halted: Mutex<Option<MilpStatus>>,
+    /// Set when the whole search should stop: an early halt, or the first
+    /// feasible point of a feasibility-only problem.
     stop: AtomicBool,
-    unbounded: AtomicBool,
-    hit_limit: AtomicBool,
-    /// Set when some relaxation ran out of its simplex pivot budget; the
-    /// whole search then reports [`MilpStatus::IterationLimit`].
-    iter_limited: AtomicBool,
     /// Nodes queued but not yet fully processed; zero means the tree is
     /// exhausted.
     pending: AtomicUsize,
@@ -113,7 +104,7 @@ struct SearchState<'a> {
     nodes_charged: AtomicUsize,
 }
 
-impl SearchState<'_> {
+impl SearchState {
     /// True when the worker loop should keep running.
     fn active(&self) -> bool {
         !self.stop.load(Ordering::Acquire) && self.pending.load(Ordering::Acquire) > 0
@@ -153,19 +144,28 @@ impl SearchState<'_> {
     /// and new incumbents.
     fn offer_incumbent(&self, values: Vec<f64>, objective: f64) {
         let mut incumbent = self.incumbent.lock();
-        let better = match incumbent.as_ref() {
-            None => true,
-            Some((_, best)) => {
-                if self.maximize {
-                    objective > *best
-                } else {
-                    objective < *best
-                }
-            }
-        };
-        if better {
+        let best = incumbent.as_ref().map(|&(_, best)| best);
+        if improves(self.maximize, objective, best) {
             *incumbent = Some((values, objective));
         }
+    }
+
+    /// Stops the whole fleet with `status`. When workers halt for different
+    /// reasons at once, the most decisive one is kept: unboundedness (a
+    /// verdict) over cancellation over the pivot budget over the node limit.
+    fn halt(&self, status: MilpStatus) {
+        let rank = |status: Option<MilpStatus>| match status {
+            Some(MilpStatus::Unbounded) => 4,
+            Some(MilpStatus::Cancelled) => 3,
+            Some(MilpStatus::IterationLimit) => 2,
+            Some(_) => 1,
+            None => 0,
+        };
+        let mut halted = self.halted.lock();
+        if rank(Some(status)) > rank(*halted) {
+            *halted = Some(status);
+        }
+        self.stop.store(true, Ordering::Release);
     }
 }
 
@@ -175,38 +175,34 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
     }
 
     fn solve(&self, problem: &MilpProblem) -> MilpSolution {
-        let binaries = problem.binaries();
-        if self.workers == 1 || binaries.len() < 2 {
-            return problem.solve();
-        }
+        self.solve_with(problem, &mut MilpOptions::default())
+    }
 
+    /// Honours the options' token and trace handle on every worker. The
+    /// seed is used only when the solve delegates to the serial engine;
+    /// with several workers each keeps its own rolling basis.
+    fn solve_with(&self, problem: &MilpProblem, options: &mut MilpOptions<'_>) -> MilpSolution {
+        if self.workers == 1 || problem.binaries().len() < 2 {
+            return problem.solve_with(options);
+        }
+        let disabled = TraceHandle::disabled();
+        let trace = options.trace.unwrap_or(&disabled);
+        let cancel = options.cancel;
+
+        let locals: Vec<Worker<Node>> = (0..self.workers).map(|_| Worker::new_lifo()).collect();
         let state = SearchState {
-            problem,
-            saved_bounds: binaries
-                .iter()
-                .map(|&b| {
-                    let (lo, hi) = problem.lp().bounds(b);
-                    (b, lo, hi)
-                })
-                .collect(),
-            feasibility_only: problem.lp().objective().iter().all(|&c| c == 0.0),
+            feasibility_only: problem.is_feasibility_only(),
             maximize: problem.lp().is_maximization(),
             node_limit: problem.node_limit(),
             injector: Injector::new(),
-            stealers: Vec::new(),
+            stealers: locals.iter().map(Worker::stealer).collect(),
             incumbent: Mutex::new(None),
+            halted: Mutex::new(None),
             stop: AtomicBool::new(false),
-            unbounded: AtomicBool::new(false),
-            hit_limit: AtomicBool::new(false),
-            iter_limited: AtomicBool::new(false),
             pending: AtomicUsize::new(1),
             nodes_charged: AtomicUsize::new(0),
         };
         state.injector.push(Node::new());
-
-        let locals: Vec<Worker<Node>> = (0..self.workers).map(|_| Worker::new_lifo()).collect();
-        let mut state = state;
-        state.stealers = locals.iter().map(Worker::stealer).collect();
         let state = &state;
 
         let stats = crossbeam::thread::scope(|scope| {
@@ -214,15 +210,15 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
                 .into_iter()
                 .map(|local| {
                     scope.spawn(move |_| {
-                        let mut scratch = state.problem.lp().clone();
                         // Per-worker rolling warm-start basis. Any basis of
                         // the shared matrix is dual feasible for any node, so
                         // a stolen subtree keeps warm-starting from whatever
                         // this worker solved last — a steal never forces a
                         // cold solve; only each worker's very first node (or
                         // a numerical bail-out) pays the two cold phases.
-                        let mut warm: Option<BasisSnapshot> = None;
-                        let mut stats = SolveStats::default();
+                        let mut warm = None;
+                        let mut evaluator =
+                            NodeEvaluator::new(problem, &mut warm, true, cancel, trace);
                         // Idle backoff: yield first (cheap when a node is
                         // about to appear), then sleep so starved workers on
                         // an oversubscribed host stop stealing cycles from
@@ -232,14 +228,7 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
                             match state.find_node(&local) {
                                 Some(node) => {
                                     idle_rounds = 0;
-                                    process_node(
-                                        state,
-                                        &local,
-                                        &mut scratch,
-                                        &mut warm,
-                                        &mut stats,
-                                        node,
-                                    );
+                                    process_node(state, &local, &mut evaluator, node);
                                     state.pending.fetch_sub(1, Ordering::AcqRel);
                                 }
                                 None => {
@@ -252,7 +241,7 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
                                 }
                             }
                         }
-                        stats
+                        evaluator.stats
                     })
                 })
                 .collect();
@@ -274,172 +263,52 @@ impl SolverBackend for ParallelBranchAndBoundBackend {
         // `scope` itself only errs when a spawned thread panicked; all joins
         // above already swallow that, but stay defensive rather than unwrap.
         let (stats, worker_panicked) = stats.unwrap_or((SolveStats::default(), true));
-
-        let incumbent = state.incumbent.lock().take();
         // A dead worker may have dropped queued subtrees on the floor; treat
         // the search as truncated (NodeLimit-class "unknown") unless it is a
         // feasibility problem that already found its witness.
-        let hit_limit = state.hit_limit.load(Ordering::Acquire) || worker_panicked;
-        let iter_limited = state.iter_limited.load(Ordering::Acquire);
-        if state.unbounded.load(Ordering::Acquire) {
-            return MilpSolution {
-                status: MilpStatus::Unbounded,
-                values: Vec::new(),
-                objective: 0.0,
-                stats,
-            };
-        }
-        match incumbent {
-            Some((values, objective)) => MilpSolution {
-                // A feasibility-only search is complete at the first feasible
-                // point even when another worker tripped a limit in the same
-                // instant; an optimisation search interrupted by a limit has
-                // not proven its incumbent optimal.
-                status: if state.feasibility_only || !(hit_limit || iter_limited) {
-                    MilpStatus::Optimal
-                } else if iter_limited {
-                    MilpStatus::IterationLimit
-                } else {
-                    MilpStatus::NodeLimit
-                },
-                values,
-                objective,
-                stats,
-            },
-            None => MilpSolution {
-                status: if iter_limited {
-                    MilpStatus::IterationLimit
-                } else if hit_limit {
-                    MilpStatus::NodeLimit
-                } else {
-                    MilpStatus::Infeasible
-                },
-                values: Vec::new(),
-                objective: 0.0,
-                stats,
-            },
-        }
+        let halted = state
+            .halted
+            .lock()
+            .or(worker_panicked.then_some(MilpStatus::NodeLimit));
+        let incumbent = state.incumbent.lock().take();
+        finish(halted, incumbent, state.feasibility_only, stats)
     }
 }
 
-/// Evaluates one node against the worker's scratch LP and pushes any
-/// children onto the worker's own deque (LIFO, so the relaxation-suggested
-/// branch is explored first).
+/// Takes one node through the shared evaluator and pushes any children onto
+/// the worker's own deque (LIFO, so the relaxation-suggested branch is
+/// explored first).
 fn process_node(
-    state: &SearchState<'_>,
+    state: &SearchState,
     local: &Worker<Node>,
-    scratch: &mut LinearProgram,
-    warm: &mut Option<BasisSnapshot>,
-    stats: &mut SolveStats,
+    evaluator: &mut NodeEvaluator<'_>,
     fixings: Node,
 ) {
-    let charged = state.nodes_charged.fetch_add(1, Ordering::AcqRel);
-    if charged >= state.node_limit {
-        state.hit_limit.store(true, Ordering::Release);
-        state.stop.store(true, Ordering::Release);
+    if evaluator.cancelled() {
+        state.halt(MilpStatus::Cancelled);
         return;
     }
-    stats.nodes_explored += 1;
-
-    // Restore the pristine binary bounds, then tighten to this node's
-    // decisions. A fixing outside the variable's original bounds (a
-    // pre-fixed binary, e.g. a stable ReLU phase) is an infeasible node.
-    for &(var, lo, hi) in &state.saved_bounds {
-        scratch.set_bounds(var, lo, hi);
+    if state.nodes_charged.fetch_add(1, Ordering::AcqRel) >= state.node_limit {
+        state.halt(MilpStatus::NodeLimit);
+        return;
     }
-    for &(var, value) in &fixings {
-        let (lo, hi) = state.problem.lp().bounds(var);
-        if value < lo - SOLVER_EPS || value > hi + SOLVER_EPS {
-            return;
-        }
-        scratch.set_bounds(var, value, value);
-    }
-    let solution = crate::milp::solve_node_lp(
-        scratch,
-        warm,
-        true,
-        stats,
-        None,
-        &dpv_trace::TraceHandle::disabled(),
-    );
-    let binaries = state.problem.binaries();
-    match solution.status {
-        LpStatus::Infeasible => return,
-        // `Cancelled` is unreachable (no token is threaded into the parallel
-        // engine yet) but degrades identically if it ever appears.
-        LpStatus::IterationLimit | LpStatus::Cancelled => {
-            state.iter_limited.store(true, Ordering::Release);
-            state.stop.store(true, Ordering::Release);
-            return;
-        }
-        LpStatus::Unbounded => {
-            if fixings.len() == binaries.len() {
-                // Every binary fixed: the unbounded ray is integer feasible,
-                // so the MILP itself is unbounded.
-                state.unbounded.store(true, Ordering::Release);
-                state.stop.store(true, Ordering::Release);
-                return;
-            }
-        }
-        LpStatus::Optimal => {
-            if let Some(best) = state.incumbent_objective() {
-                let worse = if state.maximize {
-                    solution.objective <= best + SOLVER_EPS
-                } else {
-                    solution.objective >= best - SOLVER_EPS
-                };
-                if worse {
-                    stats.nodes_pruned += 1;
-                    return;
-                }
-            }
-        }
-    }
-
-    let fractional = if solution.status == LpStatus::Optimal {
-        // Same branching rule as the serial engine (most-fractional for
-        // feasibility-only problems), so serial and parallel explore the
-        // same tree modulo scheduling.
-        crate::milp::select_branching_variable(
-            binaries,
-            &fixings,
-            &solution.values,
-            state.feasibility_only,
-        )
-    } else {
-        binaries
-            .iter()
-            .copied()
-            .find(|&b| fixings.iter().all(|(v, _)| *v != b))
-    };
-
-    match fractional {
-        None if solution.status == LpStatus::Optimal => {
-            state.offer_incumbent(solution.values, solution.objective);
+    match evaluator.evaluate(&fixings, || state.incumbent_objective()) {
+        NodeOutcome::Fathomed => {}
+        NodeOutcome::Stop(status) => state.halt(status),
+        NodeOutcome::Unbounded => state.halt(MilpStatus::Unbounded),
+        NodeOutcome::IntegerFeasible { values, objective } => {
+            state.offer_incumbent(values, objective);
             if state.feasibility_only {
                 state.stop.store(true, Ordering::Release);
             }
         }
-        None => {
-            // Unreachable: an unbounded relaxation with every binary fixed
-            // already flagged the MILP unbounded above.
-        }
-        Some(branch_var) => {
-            let suggested = if solution.status == LpStatus::Optimal {
-                solution.values[branch_var].round().clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            let other = 1.0 - suggested;
-            let mut first = fixings.clone();
-            first.push((branch_var, other));
-            let mut second = fixings;
-            second.push((branch_var, suggested));
+        NodeOutcome::Branch { var, suggested } => {
             // Count the children as in flight *before* they become visible
             // to stealers, so `pending` can never under-count.
             state.pending.fetch_add(2, Ordering::AcqRel);
-            local.push(first);
-            local.push(second);
+            for child in children(fixings, var, suggested) {
+                local.push(child);
+            }
         }
     }
 }
@@ -447,7 +316,7 @@ fn process_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BranchAndBoundBackend, ConstraintOp, ExhaustiveBackend};
+    use crate::{BranchAndBoundBackend, CancelToken, ConstraintOp, ExhaustiveBackend};
 
     fn knapsack() -> MilpProblem {
         // max 10a + 6b + 4c  s.t.  a + b + c <= 2 (binaries) → 16.
@@ -553,6 +422,26 @@ mod tests {
         let serial = BranchAndBoundBackend.solve(&milp);
         let one = ParallelBranchAndBoundBackend::new(1).solve(&milp);
         assert_eq!(serial, one);
+    }
+
+    #[test]
+    fn a_tripped_token_cancels_serial_and_parallel_solves() {
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let engines: [&dyn SolverBackend; 2] = [
+            &BranchAndBoundBackend,
+            &ParallelBranchAndBoundBackend::new(2),
+        ];
+        for engine in engines {
+            let solution = engine.solve_with(
+                &knapsack(),
+                &mut MilpOptions {
+                    cancel: Some(&cancel),
+                    ..MilpOptions::default()
+                },
+            );
+            assert_eq!(solution.status, MilpStatus::Cancelled, "{}", engine.name());
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! branch-and-bound produces when it fixes a binary), variables bounded on
 //! one side only (shifted or mirrored) and free variables (split), all
 //! mixed in one model. Cold branch-and-bound, warm-chained
-//! (`solve_seeded`) branch-and-bound and the cold `ExhaustiveBackend`
+//! (`solve_with` with a seed) branch-and-bound and the cold `ExhaustiveBackend`
 //! oracle must agree on status and objective.
 
 use dpv_lp::{
@@ -167,7 +167,10 @@ proptest! {
             assert_agree(&format!("seed {seed} step {step} cold"), (cold.status, cold.objective), want);
             let default = milp.solve();
             assert_agree(&format!("seed {seed} step {step} default"), (default.status, default.objective), want);
-            let warm = milp.solve_seeded(&mut chain);
+            let warm = milp.solve_with(&mut dpv_lp::MilpOptions {
+                seed: Some(&mut chain),
+                ..Default::default()
+            });
             assert_agree(&format!("seed {seed} step {step} seeded"), (warm.status, warm.objective), want);
             if warm.status == MilpStatus::Optimal {
                 prop_assert!(milp.is_feasible(&warm.values, TOL));

@@ -117,14 +117,20 @@ fn minimising_with_seeded_warm_chain_has_pinned_counts() {
     second.lp_mut().set_bounds(xs[2], -1.0, 0.0);
 
     let mut seed = None;
-    let a = first.solve_seeded(&mut seed);
+    let a = first.solve_with(&mut dpv_lp::MilpOptions {
+        seed: Some(&mut seed),
+        ..Default::default()
+    });
     assert_eq!(a.status, MilpStatus::Optimal);
     assert_eq!(a.stats, stats(7, 3, 6, 1, 0, 60));
     assert_eq!(a.objective.to_bits(), 13833256107542023656);
     assert!((a.objective + 1.5998872259450483).abs() < 1e-9);
     assert!(seed.is_some());
 
-    let b = second.solve_seeded(&mut seed);
+    let b = second.solve_with(&mut dpv_lp::MilpOptions {
+        seed: Some(&mut seed),
+        ..Default::default()
+    });
     assert_eq!(b.status, MilpStatus::Optimal);
     // Fully warm: the seed replaced the root's cold two-phase solve.
     assert_eq!(b.stats, stats(9, 2, 9, 0, 0, 38));

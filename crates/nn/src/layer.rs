@@ -156,6 +156,26 @@ impl Layer {
         }
     }
 
+    /// Returns `true` when every parameter the layer computes with is
+    /// finite: weights and biases, batch-norm statistics and epsilon, and a
+    /// leaky ReLU's slope.
+    pub fn has_finite_parameters(&self) -> bool {
+        let finite = |values: &[f64]| values.iter().all(|v| v.is_finite());
+        match self {
+            Layer::Dense(d) => finite(d.weights().as_slice()) && finite(d.bias().as_slice()),
+            Layer::Conv2d(c) => finite(c.weights().as_slice()) && finite(c.bias().as_slice()),
+            Layer::BatchNorm(bn) => {
+                finite(bn.gamma().as_slice())
+                    && finite(bn.beta().as_slice())
+                    && finite(bn.running_mean().as_slice())
+                    && finite(bn.running_var().as_slice())
+                    && bn.eps().is_finite()
+            }
+            Layer::Activation(Activation::LeakyReLU(slope)) => slope.is_finite(),
+            Layer::Activation(_) | Layer::MaxPool2d(_) | Layer::Flatten(_) => true,
+        }
+    }
+
     /// Short human-readable description.
     pub fn describe(&self) -> String {
         match self {

@@ -148,9 +148,11 @@ impl VerificationRequest {
     /// encoding and solving assume: at least one risk condition, every
     /// risk threshold and coefficient finite, a cut layer inside the
     /// network, a characterizer attached at that layer and as wide as it,
+    /// every parameter of the verified tail and of the characterizer finite,
     /// every region bound finite with `lower ≤ upper`, and a region as wide
-    /// as the cut layer. Costs one pass over the regions and risks; the
-    /// network weights are not walked.
+    /// as the cut layer. Costs one pass over the regions, the risks and the
+    /// weights encoding reads; the perception head before the cut is not
+    /// walked.
     ///
     /// # Errors
     /// [`ServeError::InvalidRequest`] naming the field at fault.
@@ -210,6 +212,26 @@ impl VerificationRequest {
                     self.characterizer.feature_dim(),
                     self.cut_layer
                 ),
+            ));
+        }
+        // Encoding reads the parameters of the verified tail and of the
+        // characterizer; a non-finite one would panic in the interval
+        // arithmetic of bound propagation.
+        let tail = &self.perception.layers()[self.cut_layer + 1..];
+        if let Some(i) = tail.iter().position(|l| !l.has_finite_parameters()) {
+            return Err(invalid(
+                "perception",
+                format!(
+                    "layer {} (in the verified tail) has a non-finite parameter",
+                    self.cut_layer + 1 + i
+                ),
+            ));
+        }
+        let head = self.characterizer.network().layers();
+        if let Some(i) = head.iter().position(|l| !l.has_finite_parameters()) {
+            return Err(invalid(
+                "characterizer",
+                format!("characterizer layer {i} has a non-finite parameter"),
             ));
         }
         let region_dim = match &self.region {

@@ -8,7 +8,7 @@
 
 use dpv_absint::{AbstractDomain, BoxDomain, Interval};
 use dpv_core::{Characterizer, InputProperty, RiskCondition, StartRegion, Verdict};
-use dpv_nn::{Activation, Network, NetworkBuilder};
+use dpv_nn::{Activation, Layer, Network, NetworkBuilder};
 use dpv_serve::{ObligationServer, RegionSpec, ServeConfig, ServeError, VerificationRequest};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -203,4 +203,45 @@ fn characterizer_of_the_wrong_width_is_rejected_at_admission() {
         ..healthy_request()
     };
     assert_rejected_then_healthy(&server, &request, "characterizer");
+}
+
+/// `healthy_request()` with `value` written into the first weight of the
+/// last dense layer of the perception tail, or of the characterizer.
+fn with_weight(in_characterizer: bool, value: f64) -> VerificationRequest {
+    let mut request = healthy_request();
+    let mut network = if in_characterizer {
+        request.characterizer.network().clone()
+    } else {
+        request.perception.clone()
+    };
+    match network.layers_mut().last_mut() {
+        Some(Layer::Dense(dense)) => dense.weights_mut().as_mut_slice()[0] = value,
+        other => panic!("fixture ends in a dense layer, not {other:?}"),
+    }
+    if in_characterizer {
+        request.characterizer =
+            Characterizer::from_network(InputProperty::new("p", "poisoned"), CUT, network, 0.9)
+                .unwrap();
+    } else {
+        request.perception = network;
+    }
+    request
+}
+
+#[test]
+fn non_finite_tail_weight_is_rejected_not_panicked() {
+    // Previously panicked in interval arithmetic while propagating bounds
+    // through the tail, out of `serve()`.
+    let server = server();
+    for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_rejected_then_healthy(&server, &with_weight(false, value), "perception");
+    }
+}
+
+#[test]
+fn non_finite_characterizer_weight_is_rejected_not_panicked() {
+    let server = server();
+    for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        assert_rejected_then_healthy(&server, &with_weight(true, value), "characterizer");
+    }
 }
